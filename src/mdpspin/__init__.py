@@ -10,7 +10,7 @@ from .anneal import (AnnealSchedule, SaRead, TtsEstimate, TtsSweepResult,
                      default_beta_range, exhaustive_ground_state, simulated_anneal,
                      success_probability, tts, tts_sweep)
 from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
-                       coupling_coefficient, minimal_truncation_order, truncated_q,
+                       coupling_coefficient, minimal_truncation_order,
                        truncated_q_table)
 from .dp import (QLearningConfig, bellman_residual, best_policy_exhaustive,
                  enumerate_policies, policy_evaluation_exact, q_learning,

@@ -19,7 +19,7 @@ from .anneal import (AnnealSchedule, default_beta_range, simulated_anneal,
 from .compiler import CompilerConfig, compile_hamiltonian
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import BudgetExceededError, InstanceTooLargeError
-from .experiments import (EXPERIMENTS, ExperimentConfig, run_k_heatmap,
+from .experiments import (ExperimentConfig, prepare, run_k_heatmap,
                           run_oracle_compare, run_resources, run_solve,
                           run_tts_sweep)
 from .mdp import (Mdp, ParseError, PolicyAssignment, ValidationError, build_hallway,
@@ -29,7 +29,7 @@ from .quadratize import consistency_violations, project, quadratize, to_qubo_tex
 
 _CONFIG_LIST_KEYS = {"sizes": int, "gammas": float, "sweep_grid": int}
 _CONFIG_SCALAR_KEYS = {
-    "experiment": str, "slip": float, "truncation": int, "k_max": int,
+    "slip": float, "truncation": int, "k_max": int,
     "penalty_strength": float, "reduction_penalty": float, "num_sweeps": int,
     "num_reads": int, "desired_probability": float, "seed": int,
     "num_qlearning_seeds": int, "qlearning_episodes": int, "match_rule": str,
@@ -115,16 +115,21 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+def _prepare(args):
+    """The instance flags' MDP compiled at --truncation and reduced with --m-or."""
+    return prepare(_load_instance(args),
+                   ExperimentConfig(truncation=args.truncation,
+                                    penalty_strength=args.penalty,
+                                    reduction_penalty=args.m_or))
+
+
 def _cmd_quadratize(args) -> int:
     if args.poly:
         with open(args.poly) as fh:
             poly = PseudoBooleanPolynomial.from_text(fh.read())
-        base = poly.num_variables
+        qubo = quadratize(poly, args.m_or, num_variables=poly.num_variables)
     else:
-        mdp = _load_instance(args)
-        ham = compile_hamiltonian(mdp, CompilerConfig(args.truncation, args.penalty))
-        poly, base = ham.polynomial, ham.num_variables
-    qubo = quadratize(poly, args.m_or, num_variables=base)
+        qubo = _prepare(args).qubo
     print(f"variables={qubo.num_variables} ancillas={qubo.registry.num_ancillas} "
           f"terms={len(qubo.polynomial)}")
     _emit(args, to_qubo_text(qubo), "problem.qubo")
@@ -132,9 +137,8 @@ def _cmd_quadratize(args) -> int:
 
 
 def _cmd_anneal(args) -> int:
-    mdp = _load_instance(args)
-    ham = compile_hamiltonian(mdp, CompilerConfig(args.truncation, args.penalty))
-    qubo = quadratize(ham.polynomial, args.m_or, num_variables=ham.num_variables)
+    inst = _prepare(args)
+    mdp, ham, qubo = inst.mdp, inst.ham, inst.qubo
     if args.beta_start is not None and args.beta_end is not None:
         beta0, beta1 = args.beta_start, args.beta_end
     else:
@@ -299,10 +303,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_single(args) -> int:
-    config = _experiment_config(args, "solve" if args.experiment_name == "solve"
-                                else "oracle-compare")
+    config = _experiment_config(args, args.experiment_name)
     runner = run_solve if args.experiment_name == "solve" else run_oracle_compare
-    record = runner(config, args.num_states, args.gamma, truncation=args.truncation)
+    record = runner(config, args.num_states, args.gamma)
     print(json.dumps(record, indent=1, default=str))
     return 0
 

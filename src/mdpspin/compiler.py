@@ -201,11 +201,6 @@ def truncated_q_table(mdp: Mdp, policy: PolicyAssignment, order: int) -> np.ndar
     return q
 
 
-def truncated_q(mdp: Mdp, policy: PolicyAssignment, state: int, action: int,
-                order: int) -> float:
-    return float(truncated_q_table(mdp, policy, order)[state, action])
-
-
 def minimal_truncation_order(mdp: Mdp, penalty_strength: float = 3.0,
                              k_max: int = 8) -> int | None:
     """Least K whose compiled ground state recovers the DP-optimal policy.

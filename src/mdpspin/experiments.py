@@ -1,6 +1,8 @@
 """Experiment runners: the end-to-end solve pipeline and the grid sweeps.
 
-Every runner emits plain data (CSV tables, JSON records) with the full
+Every runner starts from ``prepare``, which picks the truncation order K and
+carries an MDP through compile and quadratize; the runners differ only in
+what they read off the prepared instance.  Every runner emits plain data (CSV tables, JSON records) with the full
 configuration embedded so a record can be reproduced bit for bit.  Rows are
 ordered by instance key (size, then discount) regardless of execution order.
 """
@@ -14,15 +16,17 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
-from .anneal import (AnnealSchedule, default_beta_range, exhaustive_ground_state,
+from .anneal import (AnnealSchedule, SaRead, default_beta_range, exhaustive_ground_state,
                      simulated_anneal, success_probability, tts_std_error, tts_sweep)
-from .compiler import CompilerConfig, compile_hamiltonian, minimal_truncation_order
+from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
+                       minimal_truncation_order)
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import InstanceTooLargeError
 from .mdp import Mdp, PolicyAssignment, build_hallway, terminal_states
 from .pseudoboolean import all_assignment_energies
-from .quadratize import consistency_violations, project, quadratize
+from .quadratize import QuboProblem, consistency_violations, project, quadratize
 from .resources import count_resources
 
 EXPERIMENTS = ("solve", "k-heatmap", "tts-sweep", "resources", "oracle-compare")
@@ -63,10 +67,53 @@ def _interior(policy: PolicyAssignment) -> list[int]:
     return [int(a) for a in policy.interior_actions()]
 
 
-def _resolve_truncation(mdp: Mdp, config: ExperimentConfig) -> int | None:
-    if config.truncation is not None:
-        return config.truncation
-    return minimal_truncation_order(mdp, config.penalty_strength, config.k_max)
+@dataclass(frozen=True)
+class Instance:
+    """An MDP compiled at truncation order K and reduced to QUBO form."""
+
+    mdp: Mdp
+    truncation: int
+    ham: CompiledHamiltonian
+    qubo: QuboProblem
+
+
+def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance | None:
+    """Pick K, compile, quadratize.
+
+    K is ``config.truncation``, or the minimal order that recovers the
+    DP-optimal policy when that is None; None is returned when no
+    K <= ``config.k_max`` does.
+    """
+    k = config.truncation
+    if k is None:
+        k = minimal_truncation_order(mdp, config.penalty_strength, config.k_max)
+        if k is None:
+            return None
+    ham = compile_hamiltonian(mdp, CompilerConfig(k, config.penalty_strength))
+    qubo = quadratize(ham.polynomial, config.reduction_penalty,
+                      num_variables=ham.num_variables)
+    return Instance(mdp, k, ham, qubo)
+
+
+def _grid(config: ExperimentConfig) -> Iterator[tuple[int, float]]:
+    """(size, gamma) cells in instance-key order."""
+    for size in sorted(config.sizes):
+        for gamma in sorted(config.gammas):
+            yield size, gamma
+
+
+def _anneal(inst: Instance, config: ExperimentConfig
+            ) -> tuple[AnnealSchedule, list[SaRead], SaRead, PolicyAssignment]:
+    """SA on the QUBO: schedule, reads, lowest-energy read and its policy."""
+    beta0, beta1 = default_beta_range(inst.qubo.polynomial)
+    schedule = AnnealSchedule(config.num_sweeps, beta0, beta1,
+                              num_reads=config.num_reads, rng_seed=config.seed)
+    reads = simulated_anneal(inst.qubo.polynomial, schedule,
+                             num_variables=inst.qubo.num_variables)
+    best = min(reads, key=lambda r: r.energy)
+    best_policy = PolicyAssignment(project(best.assignment, inst.qubo.registry),
+                                   inst.mdp.num_states, inst.mdp.num_actions)
+    return schedule, reads, best, best_policy
 
 
 def _write(out_dir: str | None, filename: str, text: str) -> None:
@@ -85,8 +132,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def run_solve(config: ExperimentConfig, num_states: int, gamma: float,
-              truncation: int | None = None) -> dict:
+def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
     """compile -> quadratize -> (exhaustive + SA) -> project -> DP comparison.
 
     Exhaustive search runs on the unreduced polynomial (policy bits only);
@@ -95,13 +141,11 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float,
     be feasible with interior actions equal to value iteration's.
     """
     mdp = build_hallway(num_states, gamma, config.slip)
-    k = truncation if truncation is not None else _resolve_truncation(mdp, config)
-    if k is None:
+    inst = prepare(mdp, config)
+    if inst is None:
         raise ValueError(f"no truncation order <= {config.k_max} recovers the "
                          f"optimal policy for |S|={num_states}, gamma={gamma}")
-    ham = compile_hamiltonian(mdp, CompilerConfig(k, config.penalty_strength))
-    qubo = quadratize(ham.polynomial, config.reduction_penalty,
-                      num_variables=ham.num_variables)
+    k, ham, qubo = inst.truncation, inst.ham, inst.qubo
     _, greedy = value_iteration(mdp)
     vi_interior = _interior(greedy)
 
@@ -110,11 +154,7 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float,
     all_feasible = all(p.is_feasible() for p in policies)
     agreement = all_feasible and all(_interior(p) == vi_interior for p in policies)
 
-    beta0, beta1 = default_beta_range(qubo.polynomial)
-    schedule = AnnealSchedule(config.num_sweeps, beta0, beta1,
-                              num_reads=config.num_reads, rng_seed=config.seed)
-    reads = simulated_anneal(qubo.polynomial, schedule,
-                             num_variables=qubo.num_variables)
+    schedule, reads, best, best_policy = _anneal(inst, config)
     if config.match_rule == "energy":
         p_s, p_err = success_probability(reads, ground)
     else:
@@ -125,9 +165,6 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float,
             p_s, p_err = success_probability(reads, ground, match_rule="policy",
                                              target_bits=target,
                                              base_count=ham.num_variables)
-    best = min(reads, key=lambda r: r.energy)
-    best_policy = PolicyAssignment(project(best.assignment, qubo.registry),
-                                   num_states, mdp.num_actions)
     record = {
         "experiment": "solve",
         "config": config.as_dict(),
@@ -146,7 +183,7 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float,
                        "interior": _interior(policies[0]) if policies[0].is_feasible() else None,
                        "agreement": bool(agreement)},
         "sa": {"num_reads": config.num_reads, "num_sweeps": config.num_sweeps,
-               "beta_start": beta0, "beta_end": beta1,
+               "beta_start": schedule.beta_start, "beta_end": schedule.beta_end,
                "best_energy": best.energy,
                "best_attains_ground": bool(abs(best.energy - ground) <= 1e-9),
                "best_feasible": best_policy.is_feasible(),
@@ -164,19 +201,17 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float,
 def run_k_heatmap(config: ExperimentConfig) -> list[dict]:
     """Minimal truncation order per (|S|, gamma) cell."""
     rows: list[dict] = []
-    for size in sorted(config.sizes):
-        mdps = {g: build_hallway(size, g, config.slip) for g in config.gammas}
-        for gamma in sorted(config.gammas):
-            cell: dict = {"num_states": size, "gamma": gamma}
-            try:
-                k = minimal_truncation_order(mdps[gamma], config.penalty_strength,
-                                             config.k_max)
-                cell["minimal_k"] = k
-                cell["status"] = "ok" if k is not None else "not-found"
-            except InstanceTooLargeError as e:
-                cell["minimal_k"] = None
-                cell["status"] = f"unavailable: {e}"
-            rows.append(cell)
+    for size, gamma in _grid(config):
+        mdp = build_hallway(size, gamma, config.slip)
+        cell: dict = {"num_states": size, "gamma": gamma}
+        try:
+            k = minimal_truncation_order(mdp, config.penalty_strength, config.k_max)
+            cell["minimal_k"] = k
+            cell["status"] = "ok" if k is not None else "not-found"
+        except InstanceTooLargeError as e:
+            cell["minimal_k"] = None
+            cell["status"] = f"unavailable: {e}"
+        rows.append(cell)
     table = _csv_text(
         ["num_states", "gamma", "minimal_k", "status"],
         [[r["num_states"], r["gamma"],
@@ -190,26 +225,20 @@ def run_k_heatmap(config: ExperimentConfig) -> list[dict]:
 def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
     """Sweep-count scan per instance, reporting TTS rows and the optimum."""
     out: list[dict] = []
-    for size in sorted(config.sizes):
-        for gamma in sorted(config.gammas):
-            mdp = build_hallway(size, gamma, config.slip)
-            k = _resolve_truncation(mdp, config)
-            if k is None:
-                out.append({"num_states": size, "gamma": gamma, "status": "no-truncation"})
-                continue
-            ham = compile_hamiltonian(mdp, CompilerConfig(k, config.penalty_strength))
-            qubo = quadratize(ham.polynomial, config.reduction_penalty,
-                              num_variables=ham.num_variables)
-            # ground energy of the QUBO equals the unreduced minimum
-            ground = float(all_assignment_energies(ham.polynomial,
-                                                   ham.num_variables).min())
-            result = tts_sweep(qubo.polynomial, ground, config.sweep_grid,
-                               config.num_reads, config.desired_probability,
-                               rng_seed=config.seed,
-                               num_variables=qubo.num_variables)
-            out.append({"num_states": size, "gamma": gamma, "truncation": k,
-                        "variables": qubo.num_variables, "ground_energy": ground,
-                        "result": result, "status": "ok"})
+    for size, gamma in _grid(config):
+        inst = prepare(build_hallway(size, gamma, config.slip), config)
+        if inst is None:
+            out.append({"num_states": size, "gamma": gamma, "status": "no-truncation"})
+            continue
+        ham, qubo = inst.ham, inst.qubo
+        # ground energy of the QUBO equals the unreduced minimum
+        ground = float(all_assignment_energies(ham.polynomial, ham.num_variables).min())
+        result = tts_sweep(qubo.polynomial, ground, config.sweep_grid,
+                           config.num_reads, config.desired_probability,
+                           rng_seed=config.seed, num_variables=qubo.num_variables)
+        out.append({"num_states": size, "gamma": gamma, "truncation": inst.truncation,
+                    "variables": qubo.num_variables, "ground_energy": ground,
+                    "result": result, "status": "ok"})
     rows = []
     for item in out:
         if item["status"] != "ok":
@@ -239,18 +268,13 @@ def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
 def run_resources(config: ExperimentConfig) -> list[dict]:
     """Counted |V| and |J| per instance, one CSV row each."""
     rows: list[dict] = []
-    for size in sorted(config.sizes):
-        for gamma in sorted(config.gammas):
-            mdp = build_hallway(size, gamma, config.slip)
-            k = _resolve_truncation(mdp, config)
-            if k is None:
-                continue
-            ham = compile_hamiltonian(mdp, CompilerConfig(k, config.penalty_strength))
-            qubo = quadratize(ham.polynomial, config.reduction_penalty,
-                              num_variables=ham.num_variables)
-            report = count_resources(qubo, truncation=k, discount=gamma,
-                                     num_states=size, num_actions=mdp.num_actions)
-            rows.append({"num_states": size, "gamma": gamma, "report": report})
+    for size, gamma in _grid(config):
+        inst = prepare(build_hallway(size, gamma, config.slip), config)
+        if inst is None:
+            continue
+        report = count_resources(inst.qubo, truncation=inst.truncation, discount=gamma,
+                                 num_states=size, num_actions=inst.mdp.num_actions)
+        rows.append({"num_states": size, "gamma": gamma, "report": report})
     table = _csv_text(
         ["num_states", "gamma", "truncation", "base_variables",
          "logical_variables", "coefficient_count", "fit_value",
@@ -265,32 +289,23 @@ def run_resources(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def run_oracle_compare(config: ExperimentConfig, num_states: int, gamma: float,
-                       truncation: int | None = None) -> dict:
+def run_oracle_compare(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
     """Pairwise interior-policy agreement across every solver family."""
     mdp = build_hallway(num_states, gamma, config.slip)
-    k = truncation if truncation is not None else _resolve_truncation(mdp, config)
-    if k is None:
+    inst = prepare(mdp, config)
+    if inst is None:
         raise ValueError("no suitable truncation order; pass one explicitly")
     _, greedy = value_iteration(mdp)
     vi = _interior(greedy)
     best_pol, _, _ = best_policy_exhaustive(mdp)
     exhaustive_dp = _interior(best_pol)
 
-    ham = compile_hamiltonian(mdp, CompilerConfig(k, config.penalty_strength))
-    minimizers, ground = exhaustive_ground_state(ham.polynomial, ham.num_variables)
+    minimizers, ground = exhaustive_ground_state(inst.ham.polynomial,
+                                                 inst.ham.num_variables)
     gs_policy = PolicyAssignment(minimizers[0], num_states, mdp.num_actions)
     ham_interior = _interior(gs_policy) if gs_policy.is_feasible() else None
 
-    qubo = quadratize(ham.polynomial, config.reduction_penalty,
-                      num_variables=ham.num_variables)
-    beta0, beta1 = default_beta_range(qubo.polynomial)
-    schedule = AnnealSchedule(config.num_sweeps, beta0, beta1,
-                              num_reads=config.num_reads, rng_seed=config.seed)
-    reads = simulated_anneal(qubo.polynomial, schedule, num_variables=qubo.num_variables)
-    best = min(reads, key=lambda r: r.energy)
-    sa_policy = PolicyAssignment(project(best.assignment, qubo.registry),
-                                 num_states, mdp.num_actions)
+    _, _, best, sa_policy = _anneal(inst, config)
     sa_interior = _interior(sa_policy) if sa_policy.is_feasible() else None
 
     terminals = terminal_states(mdp)
@@ -317,7 +332,7 @@ def run_oracle_compare(config: ExperimentConfig, num_states: int, gamma: float,
         "experiment": "oracle-compare",
         "config": config.as_dict(),
         "instance": {"num_states": num_states, "gamma": gamma, "slip": config.slip,
-                     "truncation": k},
+                     "truncation": inst.truncation},
         "interior_policies": columns,
         "agreement": agreement,
         "qlearning": {"seeds": config.num_qlearning_seeds,
@@ -330,19 +345,3 @@ def run_oracle_compare(config: ExperimentConfig, num_states: int, gamma: float,
            json.dumps(record, indent=1))
     return record
 
-
-def solve_heatmap_consistency(config: ExperimentConfig, num_states: int,
-                              gamma: float) -> dict:
-    """Cross-check: solve agreement at K is true exactly when K >= minimal K."""
-    mdp = build_hallway(num_states, gamma, config.slip)
-    minimal = minimal_truncation_order(mdp, config.penalty_strength, config.k_max)
-    per_k = {}
-    consistent = True
-    for k in range(1, config.k_max + 1):
-        record = run_solve(dataclasses.replace(config, out_dir=None),
-                           num_states, gamma, truncation=k)
-        agree = record["exhaustive"]["agreement"]
-        per_k[k] = agree
-        if minimal is not None and agree != (k >= minimal):
-            consistent = False
-    return {"minimal_k": minimal, "agreement_by_k": per_k, "consistent": consistent}

@@ -2,9 +2,9 @@
 
 A monomial is a sorted, duplicate-free tuple of variable ids; the empty
 tuple is the constant term.  Multilinearity (x^2 = x) is applied whenever a
-term is added or two polynomials are multiplied, so no monomial ever holds
-a repeated id.  Coefficients below DROP_TOL in magnitude are discarded to
-keep the term map from accumulating floating-point dust.
+term is added, so no monomial ever holds a repeated id.  Coefficients below
+DROP_TOL in magnitude are discarded to keep the term map from accumulating
+floating-point dust.
 """
 
 from __future__ import annotations
@@ -79,15 +79,7 @@ class PseudoBooleanPolynomial:
                 f"assignment has {x.shape[0]} entries, polynomial uses "
                 f"{self.num_variables} variables"
             )
-        total = 0.0
-        for mono, coeff in self.terms.items():
-            prod = coeff
-            for v in mono:
-                if not x[v]:
-                    prod = 0.0
-                    break
-            total += prod
-        return total
+        return self.evaluate_packed(sum(1 << int(v) for v in np.flatnonzero(x)))
 
     def evaluate_packed(self, packed_bits: int) -> float:
         """Value at an assignment packed as an integer bitmask (bit v = x_v)."""
@@ -105,21 +97,6 @@ class PseudoBooleanPolynomial:
         out.num_variables = max(out.num_variables, other.num_variables)
         for mono, coeff in other.terms.items():
             out.add_term(mono, coeff)
-        return out
-
-    def scale(self, factor: float) -> "PseudoBooleanPolynomial":
-        out = PseudoBooleanPolynomial(self.num_variables)
-        for mono, coeff in self.terms.items():
-            out.add_term(mono, coeff * factor)
-        return out
-
-    def multiply(self, other: "PseudoBooleanPolynomial") -> "PseudoBooleanPolynomial":
-        """Product with multilinear reduction (monomial union)."""
-        out = PseudoBooleanPolynomial(max(self.num_variables, other.num_variables))
-        for m1, c1 in self.terms.items():
-            s1 = set(m1)
-            for m2, c2 in other.terms.items():
-                out.add_term(s1.union(m2), c1 * c2)
         return out
 
     def to_ising(self) -> tuple[dict[Monomial, float], float]:

@@ -101,10 +101,9 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = 5.0,
                 replaced.add_term((set(mono) - {x, y}) | {z}, coeff)
             else:
                 replaced.add_term(mono, coeff)
-        replaced.add_term((x, y), reduction_penalty)
-        replaced.add_term((x, z), -2.0 * reduction_penalty)
-        replaced.add_term((y, z), -2.0 * reduction_penalty)
-        replaced.add_term((z,), 3.0 * reduction_penalty)
+        # term by term: PseudoBooleanPolynomial.add would copy the whole polynomial
+        for mono, coeff in rosenberg_penalty(x, y, z, reduction_penalty).terms.items():
+            replaced.add_term(mono, coeff)
         work = replaced
 
     registry = AncillaRegistry(base_count=base, entries=tuple(entries))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mdpspin.compiler import (CompilerConfig, compile_hamiltonian, coupling_coefficient,
-                              minimal_truncation_order, truncated_q, truncated_q_table)
+                              minimal_truncation_order, truncated_q_table)
 from mdpspin.dp import policy_evaluation_exact
 from mdpspin.errors import BudgetExceededError, InstanceTooLargeError
 from mdpspin.mdp import (Mdp, PolicyAssignment, ValidationError, build_hallway,
@@ -125,12 +125,6 @@ class TestTruncatedQ:
         bad = PolicyAssignment(np.zeros(12, dtype=np.int8), 6, 2)
         with pytest.raises(ValueError):
             truncated_q_table(mdp, bad, 2)
-
-    def test_scalar_accessor(self):
-        mdp = build_hallway(6, 0.99)
-        pol = PolicyAssignment.from_actions([1, 0, 0, 0, 1, 0], 2)
-        table = truncated_q_table(mdp, pol, 3)
-        assert truncated_q(mdp, pol, 1, 0, 3) == table[1, 0]
 
     def test_matches_exact_policy_evaluation_in_the_limit(self):
         mdp = build_hallway(6, 0.99)

@@ -1,5 +1,6 @@
 """Experiment-runner and CLI surface tests (small, fast configurations)."""
 
+import dataclasses
 import json
 import os
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from mdpspin.cli import main, parse_config_file
+from mdpspin.compiler import minimal_truncation_order
 from mdpspin.experiments import (ExperimentConfig, run_k_heatmap, run_oracle_compare,
-                                 run_resources, run_solve, run_tts_sweep,
-                                 solve_heatmap_consistency)
+                                 run_resources, run_solve, run_tts_sweep)
 from mdpspin.mdp import ParseError, build_hallway, save_mdp
 
 
@@ -22,8 +23,8 @@ def fast_config(**overrides):
 
 class TestRunSolve:
     def test_correct_truncation_agrees(self, tmp_path):
-        config = fast_config(out_dir=str(tmp_path))
-        record = run_solve(config, 6, 0.99, truncation=3)
+        config = fast_config(truncation=3, out_dir=str(tmp_path))
+        record = run_solve(config, 6, 0.99)
         assert record["exhaustive"]["agreement"] is True
         assert record["exhaustive"]["all_feasible"] is True
         assert record["exhaustive"]["interior"] == [0, 0, 0, 1]
@@ -32,7 +33,7 @@ class TestRunSolve:
         assert written["config"]["seed"] == 0  # full config embedded
 
     def test_premature_truncation_recovers_symmetric_policy(self):
-        record = run_solve(fast_config(), 6, 0.99, truncation=2)
+        record = run_solve(fast_config(truncation=2), 6, 0.99)
         assert record["exhaustive"]["agreement"] is False
         assert record["exhaustive"]["interior"] == [0, 0, 1, 1]
 
@@ -41,9 +42,19 @@ class TestRunSolve:
         assert record["instance"]["truncation"] == 3
 
     def test_intermediate_discount_low_order_recovers_symmetric_policy(self):
-        record = run_solve(fast_config(), 6, 0.8, truncation=2)
+        record = run_solve(fast_config(truncation=2), 6, 0.8)
         assert record["exhaustive"]["all_feasible"] is True
         assert record["exhaustive"]["interior"] == [0, 0, 1, 1]
+
+    def test_policy_match_rule_counts_at_least_the_energy_hits(self):
+        # a read that attains the ground energy projects onto the unique
+        # ground-state policy, so the policy rule can only count more reads
+        energy = run_solve(fast_config(truncation=3), 6, 0.99)
+        policy = run_solve(fast_config(truncation=3, match_rule="policy"), 6, 0.99)
+        assert energy["exhaustive"]["num_minimizers"] == 1
+        assert policy["config"]["match_rule"] == "policy"
+        assert (policy["sa"]["success_probability"]
+                >= energy["sa"]["success_probability"])
 
 
 def test_run_k_heatmap_written_and_ordered(tmp_path):
@@ -85,8 +96,8 @@ def test_run_resources_rows(tmp_path):
 
 
 def test_run_oracle_compare_all_agree():
-    record = run_oracle_compare(fast_config(num_reads=400, num_sweeps=30), 6, 0.99,
-                                truncation=3)
+    record = run_oracle_compare(fast_config(num_reads=400, num_sweeps=30, truncation=3),
+                                6, 0.99)
     cols = record["interior_policies"]
     assert cols["value_iteration"] == cols["exhaustive_policy_search"]
     assert cols["value_iteration"] == cols["hamiltonian_ground_state"]
@@ -94,14 +105,19 @@ def test_run_oracle_compare_all_agree():
 
 
 def test_run_oracle_compare_premature_truncation_disagrees():
-    record = run_oracle_compare(fast_config(num_reads=100), 6, 0.99, truncation=2)
+    record = run_oracle_compare(fast_config(num_reads=100, truncation=2), 6, 0.99)
     assert not record["agreement"]["hamiltonian_ground_state|value_iteration"]
 
 
 def test_solve_heatmap_consistency_cross_check():
-    result = solve_heatmap_consistency(fast_config(num_reads=30, k_max=4), 6, 0.9)
-    assert result["minimal_k"] == 3
-    assert result["consistent"] is True
+    # solve agrees with DP at K exactly when K >= the heatmap's minimal K
+    config = fast_config(num_reads=30, k_max=4)
+    minimal = minimal_truncation_order(build_hallway(6, 0.9, config.slip),
+                                       config.penalty_strength, config.k_max)
+    assert minimal == 3
+    for k in range(1, config.k_max + 1):
+        record = run_solve(dataclasses.replace(config, truncation=k), 6, 0.9)
+        assert record["exhaustive"]["agreement"] == (k >= minimal), k
 
 
 class TestConfigFile:
@@ -123,6 +139,13 @@ class TestConfigFile:
         path.write_text("mystery = 3\n")
         with pytest.raises(ParseError):
             parse_config_file(str(path))
+
+    def test_experiment_key_rejected(self, tmp_path, capsys):
+        # the subcommand names the experiment; a file cannot override it
+        path = tmp_path / "exp.cfg"
+        path.write_text("experiment = solve\nsizes = 4\n")
+        assert main(["k-heatmap", "--config", str(path)]) == 2
+        assert "unknown key 'experiment'" in capsys.readouterr().err
 
     def test_cli_overrides_file(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"

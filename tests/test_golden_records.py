@@ -56,7 +56,7 @@ def _written(case: str) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_outputs_match_golden_record(case, capsys):
+def test_outputs_match_golden_record(case):
     expected = json.loads(GOLDEN.read_text())[case]
     assert _written(case) == expected
 
