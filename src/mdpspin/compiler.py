@@ -22,14 +22,14 @@ separate constant offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dp import value_iteration
 from .errors import BudgetExceededError, InstanceTooLargeError
-from .mdp import (Mdp, PolicyAssignment, ValidationError,
-                  enumerate_policy_assignments, flat_index, validate)
+from .mdp import Mdp, PolicyAssignment, ValidationError, flat_index, validate
 from .pseudoboolean import PseudoBooleanPolynomial
 
 UNIQUENESS_GAP = 1e-9
@@ -178,6 +178,27 @@ def compile_hamiltonian(mdp: Mdp, config: CompilerConfig) -> CompiledHamiltonian
     )
 
 
+def _rollout(mdp: Mdp, actions: np.ndarray) -> Iterator[np.ndarray]:
+    """Truncated action values of each policy row, at orders 0, 1, 2, ...
+
+    ``actions`` holds one policy per row (the action of each state); the
+    k-th table yielded has shape (rows, |S|, |A|) and is
+
+        q_0 = r,   q_k(s, a) = r(s, a) + gamma * sum_s' P[s,a,s'] q_{k-1}(s', pi(s')),
+
+    the expected discounted return of a (k+1)-step rollout that starts with
+    action a in state s and follows the row's policy afterwards.
+    """
+    er = mdp.expected_reward()
+    rows = np.arange(actions.shape[0])[:, None]
+    states = np.arange(actions.shape[1])[None, :]
+    q = np.repeat(er[None], actions.shape[0], axis=0)
+    while True:
+        yield q
+        chosen = q[rows, states, actions]
+        q = er + mdp.discount * np.einsum("sat,mt->msa", mdp.transition, chosen)
+
+
 def truncated_q_table(mdp: Mdp, policy: PolicyAssignment, order: int) -> np.ndarray:
     """Order-K action values under a fixed policy, by K Bellman substitutions.
 
@@ -191,41 +212,50 @@ def truncated_q_table(mdp: Mdp, policy: PolicyAssignment, order: int) -> np.ndar
         raise ValueError("truncated action values require a feasible policy")
     if order < 0:
         raise ValueError("order must be >= 0")
-    er = mdp.expected_reward()
-    actions = policy.actions()
-    q = er.copy()
-    idx = np.arange(mdp.num_states)
-    for _ in range(order):
-        chosen = q[idx, actions]
-        q = er + mdp.discount * (mdp.transition * chosen[None, None, :]).sum(axis=2)
-    return q
+    rollout = _rollout(mdp, policy.actions()[None, :])
+    return next(islice(rollout, order, None))[0]
 
 
-def minimal_truncation_order(mdp: Mdp, penalty_strength: float = 3.0,
-                             k_max: int = 8) -> int | None:
+def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
     """Least K whose compiled ground state recovers the DP-optimal policy.
 
-    Searches feasible assignments exhaustively; a K qualifies when the best
-    assignment beats the runner-up by more than the uniqueness gap and its
-    interior action bits match value iteration's greedy policy.  Returns
-    None when no K <= k_max qualifies.  Just past a discount at which the
-    optimal policy changes, the least qualifying K rises sharply, because
-    the ground state must resolve a vanishing Q-gap between the two policies.
+    Scores all |A|^|S| deterministic policies (lexicographic, state 0 most
+    significant) by one batched rollout, one Bellman substitution per K from
+    1 to k_max; a policy's energy is minus the sum of its K-step truncated Q
+    table.  That is the compiled energy of the policy's bits: walk sum plus
+    offset equals it (the oracle identity) and the one-hot penalty is zero
+    on every feasible assignment, so the ranking is the compiled cost
+    function's among feasible assignments at any penalty strength.  Nothing
+    is compiled, so no walk budget applies.
+
+    A K qualifies when the best policy beats the runner-up by more than the
+    uniqueness gap and its interior actions match value iteration's greedy
+    policy; returns None when no K <= k_max qualifies.  Just past a discount
+    at which the optimal policy changes, the least qualifying K rises
+    sharply, because the ground state must resolve a vanishing Q-gap between
+    the two policies.  Raises InstanceTooLargeError above 24 state-action
+    pairs (the exhaustive-search limit) and ValidationError on an invalid
+    model.
     """
     if mdp.num_pairs > 24:
         raise InstanceTooLargeError(
             f"{mdp.num_pairs} policy bits exceed the exhaustive-search limit of 24"
         )
+    violations = validate(mdp)
+    if violations:
+        raise ValidationError(violations)
     _, greedy = value_iteration(mdp)
     target = greedy.interior_actions()
-    policies = list(enumerate_policy_assignments(mdp.num_states, mdp.num_actions))
+    grid = np.indices((mdp.num_actions,) * mdp.num_states)
+    actions = grid.reshape(mdp.num_states, -1).T
+    rollout = _rollout(mdp, actions)
+    next(rollout)                       # order 0 does not depend on the policy
     for k in range(1, k_max + 1):
-        ham = compile_hamiltonian(mdp, CompilerConfig(k, penalty_strength))
-        energies = [ham.polynomial.evaluate(p.bits) for p in policies]
+        energies = -next(rollout).sum(axis=(1, 2))
         order_idx = np.argsort(energies, kind="stable")
         best, second = order_idx[0], order_idx[1]
         if energies[second] - energies[best] <= UNIQUENESS_GAP:
             continue
-        if np.array_equal(policies[best].interior_actions(), target):
+        if np.array_equal(actions[best, 1:-1], target):
             return k
     return None

@@ -86,7 +86,7 @@ def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance | None:
     """
     k = config.truncation
     if k is None:
-        k = minimal_truncation_order(mdp, config.penalty_strength, config.k_max)
+        k = minimal_truncation_order(mdp, k_max=config.k_max)
         if k is None:
             return None
     ham = compile_hamiltonian(mdp, CompilerConfig(k, config.penalty_strength))
@@ -205,7 +205,7 @@ def run_k_heatmap(config: ExperimentConfig) -> list[dict]:
         mdp = build_hallway(size, gamma, config.slip)
         cell: dict = {"num_states": size, "gamma": gamma}
         try:
-            k = minimal_truncation_order(mdp, config.penalty_strength, config.k_max)
+            k = minimal_truncation_order(mdp, k_max=config.k_max)
             cell["minimal_k"] = k
             cell["status"] = "ok" if k is not None else "not-found"
         except InstanceTooLargeError as e:
@@ -223,10 +223,18 @@ def run_k_heatmap(config: ExperimentConfig) -> list[dict]:
 
 
 def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
-    """Sweep-count scan per instance, reporting TTS rows and the optimum."""
+    """Sweep-count scan per instance, reporting TTS rows and the optimum.
+
+    A cell with no qualifying K is marked ``no-truncation``, one too large
+    for the K search ``unavailable: <reason>``; neither gets TTS rows.
+    """
     out: list[dict] = []
     for size, gamma in _grid(config):
-        inst = prepare(build_hallway(size, gamma, config.slip), config)
+        try:
+            inst = prepare(build_hallway(size, gamma, config.slip), config)
+        except InstanceTooLargeError as e:
+            out.append({"num_states": size, "gamma": gamma, "status": f"unavailable: {e}"})
+            continue
         if inst is None:
             out.append({"num_states": size, "gamma": gamma, "status": "no-truncation"})
             continue
@@ -266,10 +274,16 @@ def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
 
 
 def run_resources(config: ExperimentConfig) -> list[dict]:
-    """Counted |V| and |J| per instance, one CSV row each."""
+    """Counted |V| and |J| per instance, one CSV row each.
+
+    Cells with no qualifying K, or too large for the K search, are skipped.
+    """
     rows: list[dict] = []
     for size, gamma in _grid(config):
-        inst = prepare(build_hallway(size, gamma, config.slip), config)
+        try:
+            inst = prepare(build_hallway(size, gamma, config.slip), config)
+        except InstanceTooLargeError:
+            continue
         if inst is None:
             continue
         report = count_resources(inst.qubo, truncation=inst.truncation, discount=gamma,

@@ -11,6 +11,7 @@ from mdpspin.dp import policy_evaluation_exact
 from mdpspin.errors import BudgetExceededError, InstanceTooLargeError
 from mdpspin.mdp import (Mdp, PolicyAssignment, ValidationError, build_hallway,
                          enumerate_policy_assignments)
+from mdpspin.pseudoboolean import all_assignment_energies
 
 
 def two_state_cycle(reward=5.0, gamma=0.9):
@@ -135,15 +136,36 @@ class TestTruncatedQ:
         assert np.abs(truncated_q_table(mdp, pol, k) - exact).max() < bound
 
 
-def test_oracle_identity_feasible_policies():
+def random_sparse_mdp(seed, num_states=6, num_actions=3, successors=3, gamma=0.9):
+    """Each pair reaches ``successors`` distinct states with Dirichlet(1, ..., 1)
+    weights and standard normal rewards."""
+    rng = np.random.default_rng(seed)
+    P = np.zeros((num_states, num_actions, num_states))
+    R = np.zeros_like(P)
+    for s in range(num_states):
+        for a in range(num_actions):
+            nxt = rng.choice(num_states, size=successors, replace=False)
+            P[s, a, nxt] = rng.dirichlet(np.ones(successors))
+            R[s, a, nxt] = rng.normal(size=successors)
+    return Mdp(P, R, gamma)
+
+
+@pytest.mark.parametrize("mdp, k", [
+    pytest.param(build_hallway(6, 0.99), k, id=f"hallway6-K{k}") for k in (1, 2, 3)
+] + [
+    pytest.param(random_sparse_mdp(seed), k, id=f"random{seed}-K{k}")
+    for seed in (0, 1) for k in (1, 2, 3, 4)
+])
+def test_oracle_identity_feasible_policies(mdp, k):
     """Compiled objective + offset equals minus the rollout-oracle sum."""
-    mdp = build_hallway(6, 0.99)
-    for k in (1, 2, 3):
-        ham = compile_hamiltonian(mdp, CompilerConfig(k, 3.0))
-        for pol in enumerate_policy_assignments(6, 2):
-            walk_side = ham.objective.evaluate(pol.bits) + ham.constant_offset
-            oracle_side = -truncated_q_table(mdp, pol, k).sum()
-            assert walk_side == pytest.approx(oracle_side, abs=1e-9 * (len(ham.objective) + 1))
+    ham = compile_hamiltonian(mdp, CompilerConfig(k, 3.0))
+    energies = all_assignment_energies(ham.objective, ham.num_variables)
+    scale = sum(abs(c) for c in ham.objective.terms.values()) + abs(ham.constant_offset)
+    weights = 1 << np.arange(ham.num_variables)
+    for pol in enumerate_policy_assignments(mdp.num_states, mdp.num_actions):
+        walk_side = energies[pol.bits @ weights] + ham.constant_offset
+        oracle_side = -truncated_q_table(mdp, pol, k).sum()
+        assert walk_side == pytest.approx(oracle_side, abs=1e-12 * scale)
 
 
 def test_tail_of_series_is_discount_bounded():
@@ -170,6 +192,18 @@ class TestMinimalTruncationOrder:
     def test_too_large_instance_rejected(self):
         with pytest.raises(InstanceTooLargeError):
             minimal_truncation_order(build_hallway(13, 0.9))
+
+    def test_random_mdp_past_the_walk_budget(self):
+        # compiling this model at K = 7 exceeds the default walk budget; the
+        # search compiles nothing, so it still finds the order
+        assert minimal_truncation_order(random_sparse_mdp(149)) == 7
+
+    def test_invalid_mdp_rejected(self):
+        mdp = build_hallway(6, 0.99)
+        P = mdp.transition.copy()
+        P[0, 0, :] = 0.0
+        with pytest.raises(ValidationError):
+            minimal_truncation_order(Mdp(P, mdp.reward, 0.99))
 
     def test_degenerate_ties_never_qualify(self):
         # zero rewards: every feasible assignment is a ground state at every K

@@ -113,7 +113,7 @@ def test_solve_heatmap_consistency_cross_check():
     # solve agrees with DP at K exactly when K >= the heatmap's minimal K
     config = fast_config(num_reads=30, k_max=4)
     minimal = minimal_truncation_order(build_hallway(6, 0.9, config.slip),
-                                       config.penalty_strength, config.k_max)
+                                       k_max=config.k_max)
     assert minimal == 3
     for k in range(1, config.k_max + 1):
         record = run_solve(dataclasses.replace(config, truncation=k), 6, 0.9)
@@ -231,3 +231,24 @@ class TestCli:
         code = main(["anneal", "--hallway", "15", "--gamma", "0.6",
                      "--truncation", "1", "--reads", "2", "--sweeps", "1"])
         assert code == 3
+
+    @pytest.mark.parametrize("command, table", [("tts-sweep", "tts_sweep.csv"),
+                                                ("resources", "resources.csv")])
+    def test_grid_survives_a_cell_too_large_for_the_k_search(self, tmp_path, capsys,
+                                                             command, table):
+        # 13 states: 26 policy bits exceed the K search's limit of 24
+        args = [command, "--sizes", "4", "13", "--gammas", "0.6", "--out", str(tmp_path)]
+        if command == "tts-sweep":
+            args += ["--num-reads", "20", "--sweep-grid", "1"]
+        assert main(args) == 0
+        rows = (tmp_path / table).read_text().splitlines()[1:]
+        assert rows and all(row.startswith("4,0.6,") for row in rows)
+        out = capsys.readouterr().out
+        if command == "tts-sweep":
+            assert "|S|=13 gamma=0.6: unavailable: 26 policy bits" in out
+        else:
+            assert "|S|=13" not in out
+
+    @pytest.mark.parametrize("command", ["solve", "oracle-compare"])
+    def test_single_instance_too_large_for_the_k_search_exits_3(self, command, capsys):
+        assert main([command, "--num-states", "13", "--gamma", "0.6"]) == 3
