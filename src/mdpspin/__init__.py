@@ -15,12 +15,12 @@ from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
 from .dp import (QLearningConfig, bellman_residual, best_policy_exhaustive,
                  enumerate_policies, policy_evaluation_exact, q_learning,
                  value_iteration)
-from .errors import BudgetExceededError, InstanceTooLargeError
+from .errors import InstanceTooLargeError
 from .mdp import (Mdp, ParseError, PolicyAssignment, ValidationError, build_hallway,
                   flat_index, load_mdp, save_mdp, terminal_states, unflatten_index,
                   validate)
 from .pseudoboolean import (Monomial, PseudoBooleanPolynomial, all_assignment_energies,
-                            evaluate_spin_form, normalize_monomial)
+                            normalize_monomial)
 from .quadratize import (AncillaRegistry, QuboProblem, consistency_violations, lift,
                          minimized_over_ancillas, project, quadratize,
                          rosenberg_penalty, to_qubo_text)

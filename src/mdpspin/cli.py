@@ -4,7 +4,7 @@ Subcommands: compile, quadratize, anneal, oracle, validate, resources,
 solve, k-heatmap, tts-sweep, oracle-compare.  Options may come from a flat
 ``key = value`` config file (lists comma-separated); command-line flags
 override file values, which override defaults.  Exit codes: 0 success,
-2 validation/parse error, 3 budget or size-limit error.
+2 validation/parse error, 3 size-limit error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .anneal import (AnnealSchedule, default_beta_range, simulated_anneal,
                      success_probability)
 from .compiler import CompilerConfig, compile_hamiltonian
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
-from .errors import BudgetExceededError, InstanceTooLargeError
+from .errors import InstanceTooLargeError
 from .experiments import (ExperimentConfig, prepare, run_k_heatmap,
                           run_oracle_compare, run_resources, run_solve,
                           run_tts_sweep)
@@ -291,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, InstanceTooLargeError) as e:
+    except InstanceTooLargeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:

@@ -28,19 +28,19 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dp import value_iteration
-from .errors import BudgetExceededError, InstanceTooLargeError
+from .errors import InstanceTooLargeError
 from .mdp import Mdp, PolicyAssignment, ValidationError, flat_index, validate
 from .pseudoboolean import PseudoBooleanPolynomial
 
 UNIQUENESS_GAP = 1e-9
+# states of one walk frontier, about 160 B each; two frontiers are alive at once
+FRONTIER_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
 class CompilerConfig:
     truncation_order: int
     penalty_strength: float = 3.0
-    include_constant: bool = True
-    term_budget: int = 10_000_000
 
     def __post_init__(self):
         if self.truncation_order < 1:
@@ -111,11 +111,14 @@ def _penalty_polynomial(mdp: Mdp, strength: float) -> PseudoBooleanPolynomial:
 
 
 def compile_hamiltonian(mdp: Mdp, config: CompilerConfig) -> CompiledHamiltonian:
-    """Enumerate all nonzero walks up to order K and assemble the cost function.
+    """Sum all nonzero walks up to order K and assemble the cost function.
 
-    Depth-first over chains with zero-probability pruning; raises
-    BudgetExceededError once the number of term accumulations passes
-    ``config.term_budget``.
+    One pass per depth over a frontier {(last pair, visited pairs): weight}:
+    walks that end at the same pair having visited the same pairs share
+    their monomial and their future, so they are summed before extending.
+    Raises InstanceTooLargeError once the next frontier passes FRONTIER_LIMIT
+    states; the check follows each extended state, so it overshoots by at
+    most one state's |S||A| successors.
     """
     violations = validate(mdp)
     if violations:
@@ -123,49 +126,42 @@ def compile_hamiltonian(mdp: Mdp, config: CompilerConfig) -> CompiledHamiltonian
 
     P = mdp.transition
     na = mdp.num_actions
-    gamma = mdp.discount
-    K = config.truncation_order
-    in_weight = P.sum(axis=(0, 1))
     er = mdp.expected_reward()
-    gamma_pow = [gamma ** k for k in range(K + 1)]
+    er_flat = er.reshape(-1).tolist()
     # successor lists pruned to nonzero probabilities
-    succ = [[(sp, P[s, a, sp]) for sp in range(mdp.num_states) if P[s, a, sp] > 0.0]
-            for s in range(mdp.num_states) for a in range(na)]
+    succ = [[(sp, p) for sp, p in enumerate(row) if p > 0.0]
+            for row in P.reshape(mdp.num_pairs, -1).tolist()]
+
+    frontier = {(pair, 1 << pair): w
+                for s, w in enumerate(P.sum(axis=(0, 1)).tolist()) if w != 0.0
+                for pair in range(s * na, (s + 1) * na)}
+    coeffs: dict[int, float] = {}
+    for depth in range(1, config.truncation_order + 1):
+        scale = -mdp.discount ** depth
+        for (pair, visited), weight in frontier.items():
+            if er_flat[pair] != 0.0:
+                coeffs[visited] = coeffs.get(visited, 0.0) + scale * weight * er_flat[pair]
+        if depth == config.truncation_order:
+            break
+        nxt: dict[tuple[int, int], float] = {}
+        for (pair, visited), weight in frontier.items():
+            for sp, p in succ[pair]:
+                w = weight * p
+                for nxt_pair in range(sp * na, (sp + 1) * na):
+                    key = (nxt_pair, visited | 1 << nxt_pair)
+                    nxt[key] = nxt.get(key, 0.0) + w
+            if len(nxt) > FRONTIER_LIMIT:
+                raise InstanceTooLargeError(
+                    f"walk frontier passed {FRONTIER_LIMIT} states at order {depth + 1}")
+        frontier = nxt
 
     objective = PseudoBooleanPolynomial(mdp.num_pairs)
-    budget = config.term_budget
-    count = 0
-
-    def extend(pair: int, depth: int, weight: float, ids: frozenset[int]) -> None:
-        nonlocal count
-        s_i, a_i = divmod(pair, na)
-        contrib = gamma_pow[depth] * weight * er[s_i, a_i]
-        if contrib != 0.0:
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(
-                    f"walk enumeration exceeded {budget} accumulations at order {depth}"
-                )
-            objective.add_term(ids, -contrib)
-        if depth == K:
-            return
-        for sp, p in succ[pair]:
-            w = weight * p
-            base = sp * na
-            for a_next in range(na):
-                nxt = base + a_next
-                extend(nxt, depth + 1, w, ids | {nxt})
-
-    for s1 in range(mdp.num_states):
-        w0 = in_weight[s1]
-        if w0 == 0.0:
-            continue
-        for a1 in range(na):
-            pair = flat_index(s1, a1, na)
-            extend(pair, 1, w0, frozenset((pair,)))
+    for visited, coeff in coeffs.items():
+        objective.add_term([v for v, bit in enumerate(bin(visited)[:1:-1]) if bit == "1"],
+                           coeff)
 
     penalty = _penalty_polynomial(mdp, config.penalty_strength)
-    offset = -float(er.sum()) if config.include_constant else 0.0
+    offset = -float(er.sum())
     return CompiledHamiltonian(
         objective=objective,
         penalty=penalty,
@@ -174,7 +170,7 @@ def compile_hamiltonian(mdp: Mdp, config: CompilerConfig) -> CompiledHamiltonian
         config=config,
         num_states=mdp.num_states,
         num_actions=mdp.num_actions,
-        discount=gamma,
+        discount=mdp.discount,
     )
 
 
@@ -226,16 +222,16 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
     offset equals it (the oracle identity) and the one-hot penalty is zero
     on every feasible assignment, so the ranking is the compiled cost
     function's among feasible assignments at any penalty strength.  Nothing
-    is compiled, so no walk budget applies.
+    is compiled, so FRONTIER_LIMIT does not apply.
 
     A K qualifies when the best policy beats the runner-up by more than the
-    uniqueness gap and its interior actions match value iteration's greedy
-    policy; returns None when no K <= k_max qualifies.  Just past a discount
-    at which the optimal policy changes, the least qualifying K rises
-    sharply, because the ground state must resolve a vanishing Q-gap between
-    the two policies.  Raises InstanceTooLargeError above 24 state-action
-    pairs (the exhaustive-search limit) and ValidationError on an invalid
-    model.
+    uniqueness gap, or is the only policy, and its interior actions match
+    value iteration's greedy policy; returns None when no K <= k_max
+    qualifies.  Just past a discount at which the optimal policy changes, the
+    least qualifying K rises sharply, because the ground state must resolve a
+    vanishing Q-gap between the two policies.  Raises InstanceTooLargeError
+    above 24 state-action pairs (the exhaustive-search limit) and
+    ValidationError on an invalid model.
     """
     if mdp.num_pairs > 24:
         raise InstanceTooLargeError(
@@ -253,8 +249,9 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
     for k in range(1, k_max + 1):
         energies = -next(rollout).sum(axis=(1, 2))
         order_idx = np.argsort(energies, kind="stable")
-        best, second = order_idx[0], order_idx[1]
-        if energies[second] - energies[best] <= UNIQUENESS_GAP:
+        best = order_idx[0]
+        # a single policy has no runner-up and is the unique ground state
+        if len(order_idx) > 1 and energies[order_idx[1]] - energies[best] <= UNIQUENESS_GAP:
             continue
         if np.array_equal(actions[best, 1:-1], target):
             return k

@@ -1,9 +1,6 @@
 """Shared error types mapped to CLI exit codes (validation -> 2, limits -> 3)."""
 
 
-class BudgetExceededError(RuntimeError):
-    """Walk enumeration or solver work exceeded its configured budget."""
-
-
 class InstanceTooLargeError(RuntimeError):
-    """Instance exceeds the size limit of an exhaustive operation."""
+    """Instance exceeds a size limit: exhaustive search, dense enumeration or the
+    walk frontier."""

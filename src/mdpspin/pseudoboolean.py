@@ -99,29 +99,6 @@ class PseudoBooleanPolynomial:
             out.add_term(mono, coeff)
         return out
 
-    def to_ising(self) -> tuple[dict[Monomial, float], float]:
-        """Substitute x_v = (1 - z_v)/2 for spin variables z in {-1, +1}.
-
-        Returns the spin-monomial coefficient map (constant excluded) and the
-        constant offset.  Evaluating the spin form at z = 1 - 2x reproduces
-        the binary-variable value for every assignment.
-        """
-        spin: dict[Monomial, float] = {}
-        for mono, coeff in self.terms.items():
-            k = len(mono)
-            base = coeff / (2 ** k)
-            # product over (1 - z_v) expands to sum over subsets with sign (-1)^|T|
-            for subset_bits in range(1 << k):
-                sub = tuple(mono[i] for i in range(k) if (subset_bits >> i) & 1)
-                sign = -1.0 if bin(subset_bits).count("1") % 2 else 1.0
-                val = spin.get(sub, 0.0) + sign * base
-                if abs(val) <= DROP_TOL:
-                    spin.pop(sub, None)
-                else:
-                    spin[sub] = val
-        offset = spin.pop((), 0.0)
-        return spin, offset
-
     def to_text(self) -> str:
         """One term per line: ``coeff v1 v2 ... vk`` (constant line has no ids)."""
         lines = []
@@ -148,19 +125,6 @@ class PseudoBooleanPolynomial:
                 raise ValueError(f"line {lineno}: {e}") from e
             poly.add_term(ids, coeff)
         return poly
-
-
-def evaluate_spin_form(spin_terms: Mapping[Monomial, float], offset: float,
-                       spins) -> float:
-    """Evaluate an Ising-form term map at a +/-1 spin vector."""
-    z = np.asarray(spins)
-    total = offset
-    for mono, coeff in spin_terms.items():
-        prod = coeff
-        for v in mono:
-            prod *= z[v]
-        total += prod
-    return total
 
 
 def _term_activity(indices: np.ndarray, masks: np.ndarray) -> np.ndarray:

@@ -1,17 +1,20 @@
 """Compiler tests: coupling coefficients, walk sums, and the rollout oracle."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from mdpspin import compiler
 from mdpspin.compiler import (CompilerConfig, compile_hamiltonian, coupling_coefficient,
                               minimal_truncation_order, truncated_q_table)
 from mdpspin.dp import policy_evaluation_exact
-from mdpspin.errors import BudgetExceededError, InstanceTooLargeError
+from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import (Mdp, PolicyAssignment, ValidationError, build_hallway,
                          enumerate_policy_assignments)
-from mdpspin.pseudoboolean import all_assignment_energies
+from mdpspin.pseudoboolean import DROP_TOL, all_assignment_energies
 
 
 def two_state_cycle(reward=5.0, gamma=0.9):
@@ -79,13 +82,13 @@ class TestCompile:
         mdp = build_hallway(6, 0.99)
         ham = compile_hamiltonian(mdp, CompilerConfig(1, 3.0))
         assert ham.constant_offset == pytest.approx(-mdp.expected_reward().sum())
-        off = compile_hamiltonian(mdp, CompilerConfig(1, 3.0, include_constant=False))
-        assert off.constant_offset == 0.0
 
-    def test_budget_exceeded(self):
-        with pytest.raises(BudgetExceededError):
-            compile_hamiltonian(build_hallway(6, 0.99),
-                                CompilerConfig(3, 3.0, term_budget=10))
+    def test_budget_exceeded(self, monkeypatch):
+        # hallway(6) frontiers hold 12, 44 and 140 states at orders 1, 2 and 3
+        monkeypatch.setattr(compiler, "FRONTIER_LIMIT", 100)
+        compile_hamiltonian(build_hallway(6, 0.99), CompilerConfig(2, 3.0))
+        with pytest.raises(InstanceTooLargeError, match="at order 3"):
+            compile_hamiltonian(build_hallway(6, 0.99), CompilerConfig(3, 3.0))
 
     def test_invalid_mdp_rejected(self):
         mdp = build_hallway(6, 0.99)
@@ -93,6 +96,42 @@ class TestCompile:
         P[0, 0, :] = 0.0
         with pytest.raises(ValidationError):
             compile_hamiltonian(Mdp(P, mdp.reward, 0.99), CompilerConfig(2, 3.0))
+
+
+@st.composite
+def small_sparse_mdps(draw):
+    """3 states x 2 actions; each pair reaches 2 distinct states.  Integer
+    rewards and probabilities in twentieths keep grouped coefficients either
+    exactly cancelled or far above the drop tolerance."""
+    P = np.zeros((3, 2, 3))
+    R = np.zeros_like(P)
+    for s in range(3):
+        for a in range(2):
+            nxt = draw(st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True))
+            w = draw(st.integers(1, 19)) / 20
+            P[s, a, nxt] = (w, 1.0 - w)
+            R[s, a, nxt] = draw(st.lists(st.integers(-5, 5), min_size=2, max_size=2))
+    return Mdp(P, R, draw(st.floats(0.1, 0.99)))
+
+
+@given(mdp=small_sparse_mdps(), k=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_walk_sum_matches_brute_force_chain_sum(mdp, k):
+    """Minus the coupling coefficients of every chain up to length K, grouped
+    by the chain's set of pairs, is the compiled objective."""
+    pairs = [(s, a) for s in range(mdp.num_states) for a in range(mdp.num_actions)]
+    expected: dict[tuple[int, ...], float] = {}
+    scale = 0.0
+    for length in range(1, k + 1):
+        for chain in product(pairs, repeat=length):
+            c = coupling_coefficient(mdp, chain)
+            mono = tuple(sorted({s * mdp.num_actions + a for s, a in chain}))
+            expected[mono] = expected.get(mono, 0.0) - c
+            scale += abs(c)
+    terms = compile_hamiltonian(mdp, CompilerConfig(k)).objective.terms
+    assert set(terms) == {m for m, c in expected.items() if abs(c) > DROP_TOL}
+    for mono, coeff in terms.items():
+        assert coeff == pytest.approx(expected[mono], abs=1e-12 * scale)
 
 
 @given(bits=st.lists(st.integers(0, 1), min_size=12, max_size=12))
@@ -201,9 +240,17 @@ class TestMinimalTruncationOrder:
             minimal_truncation_order(build_hallway(13, 0.9))
 
     def test_random_mdp_past_the_walk_budget(self):
-        # compiling this model at K = 7 exceeds the default walk budget; the
-        # search compiles nothing, so it still finds the order
+        # the search compiles nothing, so a deep order costs no walk enumeration
         assert minimal_truncation_order(random_sparse_mdp(149)) == 7
+
+    def test_single_action_model_is_order_one(self):
+        # deterministic 3-state cycle: the one policy has no runner-up
+        P = np.zeros((3, 1, 3))
+        for s in range(3):
+            P[s, 0, (s + 1) % 3] = 1.0
+        R = np.zeros_like(P)
+        R[2, 0, 0] = 1.0
+        assert minimal_truncation_order(Mdp(P, R, 0.9)) == 1
 
     def test_invalid_mdp_rejected(self):
         mdp = build_hallway(6, 0.99)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from mdpspin import compiler
 from mdpspin.cli import main, parse_config_file
 from mdpspin.compiler import minimal_truncation_order
 from mdpspin.experiments import (ExperimentConfig, run_k_heatmap, run_oracle_compare,
@@ -231,6 +232,22 @@ class TestCli:
         code = main(["anneal", "--hallway", "15", "--gamma", "0.6",
                      "--truncation", "1", "--reads", "2", "--sweeps", "1"])
         assert code == 3
+
+    def test_exit_code_3_past_the_walk_frontier_limit(self, monkeypatch, capsys):
+        monkeypatch.setattr(compiler, "FRONTIER_LIMIT", 100)
+        code = main(["compile", "--hallway", "6", "--gamma", "0.99", "--truncation", "3"])
+        assert code == 3
+        assert "walk frontier passed 100 states" in capsys.readouterr().err
+
+    def test_exit_code_3_past_the_policy_enumeration_limit(self, capsys):
+        # 25 states: 2^25 policies exceed the exhaustive search's 2^24
+        assert main(["oracle", "--hallway", "25", "--exhaustive"]) == 3
+        assert "enumeration limit" in capsys.readouterr().err
+
+    def test_exit_code_3_past_the_exhaustive_ground_state_limit(self, capsys):
+        # 13 states at a fixed K: 26 polynomial variables exceed the cap of 24
+        assert main(["solve", "--num-states", "13", "--gamma", "0.6", "--truncation", "1"]) == 3
+        assert "exhaustive limit of 24" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, table", [("tts-sweep", "tts_sweep.csv"),
                                                 ("resources", "resources.csv")])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, all_assignment_energies,
-                                   evaluate_spin_form, normalize_monomial)
+                                   normalize_monomial)
 
 
 @st.composite
@@ -113,56 +113,6 @@ def test_no_stored_coefficient_below_drop_tolerance(pq1, pq2):
     p, _ = pq1
     q, _ = pq2
     assert all(abs(c) > 1e-12 for c in p.add(q).terms.values())
-
-
-def _random_ten_variable_poly(seed):
-    rng = np.random.default_rng(seed)
-    poly = PseudoBooleanPolynomial(10)
-    for _ in range(12):
-        poly.add_term(rng.integers(0, 10, size=rng.integers(0, 4)), rng.normal())
-    return poly
-
-
-def test_ising_round_trip_full_sweep_ten_variables():
-    poly = _random_ten_variable_poly(3)
-    spin, offset = poly.to_ising()
-    for i in range(1 << 10):
-        x = bits_of(i, 10)
-        assert evaluate_spin_form(spin, offset, 1 - 2 * x) == pytest.approx(
-            poly.evaluate(x), abs=1e-8)
-
-
-class TestIsing:
-    def test_single_variable(self):
-        poly = PseudoBooleanPolynomial().add_term([0], 1.0)
-        spin, offset = poly.to_ising()
-        assert offset == pytest.approx(0.5)
-        assert spin == {(0,): pytest.approx(-0.5)}
-
-    def test_pair_expansion(self):
-        poly = PseudoBooleanPolynomial().add_term([0, 1], 1.0)
-        spin, offset = poly.to_ising()
-        assert offset == pytest.approx(0.25)
-        assert spin[(0,)] == pytest.approx(-0.25)
-        assert spin[(1,)] == pytest.approx(-0.25)
-        assert spin[(0, 1)] == pytest.approx(0.25)
-
-    def test_constant_only(self):
-        poly = PseudoBooleanPolynomial().add_term([], 3.5)
-        spin, offset = poly.to_ising()
-        assert spin == {}
-        assert offset == 3.5
-
-    @given(polynomials(max_vars=6))
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_at_all_assignments(self, pq):
-        poly, n = pq
-        spin, offset = poly.to_ising()
-        for i in range(1 << n):
-            x = bits_of(i, n)
-            z = 1 - 2 * x
-            assert evaluate_spin_form(spin, offset, z) == pytest.approx(
-                poly.evaluate(x), abs=1e-8)
 
 
 class TestTextFormat:
