@@ -7,9 +7,12 @@ penalty
 
     M_OR * (x*y - 2*x*z - 2*y*z + 3*z)
 
-which is zero exactly when z = x*y and at least M_OR otherwise.  Substitution
-never rewrites degree-2 terms: gadget penalties from earlier rounds must
-survive verbatim or the reduction stops being value-preserving.
+which is zero exactly when z = x*y and at least M_OR otherwise.  The rounds
+edit one copy of the input in place and rewrite only the monomials that hold
+the pair; the ancilla is fresh, so a rewritten monomial never meets an
+existing one.  Substitution never rewrites degree-2 terms: gadget penalties
+from earlier rounds must survive verbatim or the reduction stops being
+value-preserving.
 """
 
 from __future__ import annotations
@@ -95,16 +98,10 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = 5.0,
         next_id += 1
         entries.append((z, x, y))
 
-        replaced = PseudoBooleanPolynomial(next_id)
-        for mono, coeff in work.terms.items():
-            if len(mono) >= 3 and x in mono and y in mono:
-                replaced.add_term((set(mono) - {x, y}) | {z}, coeff)
-            else:
-                replaced.add_term(mono, coeff)
-        # term by term: PseudoBooleanPolynomial.add would copy the whole polynomial
+        for mono in [m for m in high if x in m and y in m]:
+            work.add_term((set(mono) - {x, y}) | {z}, work.terms.pop(mono))
         for mono, coeff in rosenberg_penalty(x, y, z, reduction_penalty).terms.items():
-            replaced.add_term(mono, coeff)
-        work = replaced
+            work.add_term(mono, coeff)
 
     registry = AncillaRegistry(base_count=base, entries=tuple(entries))
     return QuboProblem(polynomial=work, registry=registry,
