@@ -33,7 +33,6 @@ class AnnealSchedule:
     beta_end: float
     num_reads: int = 1
     rng_seed: int = 0
-    random_sweep_order: bool = False
 
     def __post_init__(self):
         if self.num_sweeps < 1:
@@ -80,9 +79,9 @@ def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
 
     Each read starts from a fresh random assignment and runs ``num_sweeps``
     sweeps at linearly interpolated beta, attempting a flip of every variable
-    per sweep (fixed index order unless ``random_sweep_order``).  Per-read
-    generators are seeded as (rng_seed, read_index) so reads are independent
-    and the whole run is reproducible.
+    per sweep in fixed index order.  Per-read generators are seeded as
+    (rng_seed, read_index) so reads are independent and the whole run is
+    reproducible.
     """
     n = num_variables if num_variables is not None else poly.num_variables
     if n < poly.num_variables:
@@ -106,9 +105,8 @@ def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
             if bits[v]:
                 mask |= 1 << v
         for beta in betas:
-            order = rng.permutation(n) if schedule.random_sweep_order else range(n)
             uniforms = rng.random(n)
-            for idx, v in enumerate(order):
+            for v in range(n):
                 field_sum = 0.0
                 for others, coeff in adjacency[v]:
                     if (mask & others) == others:
@@ -123,7 +121,7 @@ def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
                             f"incremental dE {delta} != full re-evaluation "
                             f"{after - before} for variable {v}"
                         )
-                if delta <= 0.0 or uniforms[idx] < math.exp(-beta * delta):
+                if delta <= 0.0 or uniforms[v] < math.exp(-beta * delta):
                     mask ^= 1 << v
         final = np.array([(mask >> v) & 1 for v in range(n)], dtype=np.int8)
         reads.append(SaRead(assignment=final, energy=poly.evaluate_packed(mask)))

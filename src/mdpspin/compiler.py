@@ -72,10 +72,6 @@ class CompiledHamiltonian:
     def num_variables(self) -> int:
         return self.num_states * self.num_actions
 
-    def energy(self, assignment) -> float:
-        """Polynomial value plus constant offset at a 0/1 assignment."""
-        return self.polynomial.evaluate(assignment) + self.constant_offset
-
 
 def coupling_coefficient(mdp: Mdp, chain: Sequence[tuple[int, int]]) -> float:
     """Ordered-walk weight of a chain of (state, action) pairs, order k = len(chain)."""

@@ -29,9 +29,9 @@ def value_iteration(mdp: Mdp, tol: float = 1e-12,
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    P, R, gamma = mdp.transition, mdp.reward, mdp.discount
+    P, gamma = mdp.transition, mdp.discount
     q = np.zeros((mdp.num_states, mdp.num_actions))
-    pr = (P * R).sum(axis=2)
+    pr = mdp.expected_reward()
     for _ in range(max_iters):
         v = q.max(axis=1)
         q_next = pr + gamma * (P @ v)
@@ -44,7 +44,7 @@ def value_iteration(mdp: Mdp, tol: float = 1e-12,
 
 def bellman_residual(mdp: Mdp, q: np.ndarray) -> float:
     """Sup-norm distance of a Q table from one optimality backup of itself."""
-    pr = (mdp.transition * mdp.reward).sum(axis=2)
+    pr = mdp.expected_reward()
     backed = pr + mdp.discount * (mdp.transition @ q.max(axis=1))
     return float(np.abs(backed - q).max())
 
@@ -55,7 +55,7 @@ def policy_evaluation_exact(mdp: Mdp, policy: PolicyAssignment) -> np.ndarray:
         raise ValueError("exact evaluation requires a feasible policy")
     n, na = mdp.num_states, mdp.num_actions
     actions = policy.actions()
-    pr = (mdp.transition * mdp.reward).sum(axis=2)
+    pr = mdp.expected_reward()
     nv = n * na
     system = np.eye(nv)
     for s in range(n):

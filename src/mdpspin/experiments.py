@@ -18,8 +18,9 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .anneal import (AnnealSchedule, SaRead, default_beta_range, exhaustive_ground_state,
-                     simulated_anneal, success_probability, tts_std_error, tts_sweep)
+from .anneal import (ENERGY_MATCH_TOL, AnnealSchedule, SaRead, default_beta_range,
+                     exhaustive_ground_state, simulated_anneal, success_probability,
+                     tts_std_error, tts_sweep)
 from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
                        minimal_truncation_order)
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
@@ -185,7 +186,7 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
         "sa": {"num_reads": config.num_reads, "num_sweeps": config.num_sweeps,
                "beta_start": schedule.beta_start, "beta_end": schedule.beta_end,
                "best_energy": best.energy,
-               "best_attains_ground": bool(abs(best.energy - ground) <= 1e-9),
+               "best_attains_ground": bool(abs(best.energy - ground) <= ENERGY_MATCH_TOL),
                "best_feasible": best_policy.is_feasible(),
                "best_consistency_violations":
                    consistency_violations(best.assignment, qubo.registry),

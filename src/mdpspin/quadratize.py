@@ -55,9 +55,6 @@ class QuboProblem:
     def num_variables(self) -> int:
         return self.registry.total_variables
 
-    def energy(self, assignment) -> float:
-        return self.polynomial.evaluate(assignment)
-
 
 def rosenberg_penalty(x: int, y: int, z: int, strength: float) -> PseudoBooleanPolynomial:
     """The pair-substitution consistency gadget as a polynomial."""

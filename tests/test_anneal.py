@@ -77,13 +77,6 @@ class TestSimulatedAnneal:
         schedule = AnnealSchedule(4, 0.1, 2.0, num_reads=5, rng_seed=1)
         simulated_anneal(poly, schedule, num_variables=6, debug_check=True)
 
-    def test_random_sweep_order_flag(self):
-        poly = single_negative_variable()
-        schedule = AnnealSchedule(2, 1.0, 2.0, num_reads=3, rng_seed=0,
-                                  random_sweep_order=True)
-        reads = simulated_anneal(poly, schedule)
-        assert len(reads) == 3
-
     def test_detailed_balance_two_variable_boltzmann(self):
         # fixed beta, long chain: final-state frequencies follow the Gibbs law
         poly = PseudoBooleanPolynomial(2)

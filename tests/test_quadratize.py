@@ -71,7 +71,10 @@ def test_determinism():
     poly = PseudoBooleanPolynomial(6)
     for _ in range(12):
         poly.add_term(rng.integers(0, 6, size=rng.integers(1, 5)), rng.normal())
+    before = dict(poly.terms)
     a = quadratize(poly, 5.0)
+    assert a.registry.num_ancillas > 0
+    assert poly.terms == before  # the reduction works on a copy
     b = quadratize(poly, 5.0)
     assert a.polynomial.terms == b.polynomial.terms
     assert a.registry == b.registry
