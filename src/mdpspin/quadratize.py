@@ -70,8 +70,8 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = 5.0,
                num_variables: int | None = None) -> QuboProblem:
     """Reduce an arbitrary-degree polynomial to degree <= 2.
 
-    Deterministic given the input; a degree <= 2 input is returned unchanged
-    with an empty registry.
+    Deterministic given the input, which is left unchanged; a degree <= 2
+    input comes back with the same terms and an empty registry.
     """
     if reduction_penalty <= 0:
         raise ValueError("reduction penalty must be positive")
