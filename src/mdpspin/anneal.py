@@ -1,9 +1,10 @@
 """Ground-state solvers and time-to-solution estimation.
 
 Exhaustive search scans every assignment with vectorized bitmask evaluation;
-the Metropolis annealer works directly on polynomials of any degree via
-per-variable adjacency lists and incremental energy updates.  Time to
-solution follows the standard repeated-trial formula
+the Metropolis annealer works directly on polynomials of any degree via their
+``TermTable``, advancing all reads in lockstep with a per-read count of each
+term's zero variables.  Time to solution follows the standard repeated-trial
+formula
 
     TTS(t) = t * ln(1 - p_d) / ln(1 - p_s)
 
@@ -19,9 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
+from .pseudoboolean import (PseudoBooleanPolynomial, TermTable, all_assignment_energies,
+                           variable_count)
 
 ENERGY_MATCH_TOL = 1e-9
+EXHAUSTIVE_MAX_VARIABLES = 24
 
 
 @dataclass(frozen=True)
@@ -51,18 +54,12 @@ class AnnealSchedule:
 def default_beta_range(poly: PseudoBooleanPolynomial) -> tuple[float, float]:
     """Hot start accepting the largest single-flip move half the time, cold
     end accepting the smallest one percent of the time."""
-    per_var: dict[int, float] = {}
-    smallest = math.inf
-    for mono, coeff in poly.terms.items():
-        if not mono:
-            continue
-        smallest = min(smallest, abs(coeff))
-        for v in mono:
-            per_var[v] = per_var.get(v, 0.0) + abs(coeff)
-    if not per_var:
+    table = TermTable(poly)
+    magnitudes = np.abs(table.coeffs[table.sizes > 0])
+    if not magnitudes.size:
         return 0.1, 1.0
-    d_max = max(per_var.values())
-    d_min = max(smallest, 1e-3 * d_max)
+    d_max = float((table.incidence @ np.abs(table.coeffs)).max())
+    d_min = max(float(magnitudes.min()), 1e-3 * d_max)
     return math.log(2.0) / d_max, math.log(100.0) / d_min
 
 
@@ -75,67 +72,48 @@ class SaRead:
 def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
                      num_variables: int | None = None,
                      debug_check: bool = False) -> list[SaRead]:
-    """Metropolis single-spin-flip annealing, one entry per read.
+    """Metropolis single-spin-flip annealing, all reads in lockstep.
 
-    Each read starts from a fresh random assignment and runs ``num_sweeps``
-    sweeps at linearly interpolated beta, attempting a flip of every variable
-    per sweep in fixed index order.  Per-read generators are seeded as
-    (rng_seed, read_index) so reads are independent and the whole run is
-    reproducible.
+    The reads are the rows of one (reads, n) array.  Each starts from a random
+    assignment and runs ``num_sweeps`` sweeps at linearly interpolated beta,
+    attempting a flip of every variable per sweep in fixed index order.
+    ``missing[r, t]`` counts the variables of term t that are 0 in read r, so
+    the field of v sums the coefficients of v's terms with
+    ``missing == 1 - x_v``.  One generator seeded with ``rng_seed`` draws the
+    starts, then a (reads, n) block of uniforms per sweep: a run is
+    reproducible from ``(rng_seed, num_reads)``.
     """
-    n = num_variables if num_variables is not None else poly.num_variables
-    if n < poly.num_variables:
-        raise ValueError("num_variables smaller than the polynomial's variable span")
-    # adjacency: variable -> [(bitmask of the other variables in the term, coeff)]
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for mono, coeff in poly.terms.items():
-        full_mask = 0
-        for v in mono:
-            full_mask |= 1 << v
-        for v in mono:
-            adjacency[v].append((full_mask & ~(1 << v), coeff))
-    betas = schedule.betas()
-    reads: list[SaRead] = []
-
-    for read_index in range(schedule.num_reads):
-        rng = np.random.default_rng((schedule.rng_seed, read_index))
-        bits = rng.integers(0, 2, size=n, dtype=np.int8)
-        mask = 0
-        for v in range(n):
-            if bits[v]:
-                mask |= 1 << v
-        for beta in betas:
-            uniforms = rng.random(n)
-            for v in range(n):
-                field_sum = 0.0
-                for others, coeff in adjacency[v]:
-                    if (mask & others) == others:
-                        field_sum += coeff
-                on = (mask >> v) & 1
-                delta = -field_sum if on else field_sum
-                if debug_check:
-                    before = poly.evaluate_packed(mask)
-                    after = poly.evaluate_packed(mask ^ (1 << v))
-                    if abs((after - before) - delta) > 1e-9:
-                        raise AssertionError(
-                            f"incremental dE {delta} != full re-evaluation "
-                            f"{after - before} for variable {v}"
-                        )
-                if delta <= 0.0 or uniforms[v] < math.exp(-beta * delta):
-                    mask ^= 1 << v
-        final = np.array([(mask >> v) & 1 for v in range(n)], dtype=np.int8)
-        reads.append(SaRead(assignment=final, energy=poly.evaluate_packed(mask)))
-    return reads
+    table = TermTable(poly, num_variables)
+    var_terms = [(ts, table.coeffs[ts]) for ts in map(np.flatnonzero, table.incidence)]
+    rng = np.random.default_rng(schedule.rng_seed)
+    x = rng.integers(0, 2, size=(schedule.num_reads, len(var_terms)), dtype=np.int8)
+    missing = table.sizes - x @ table.incidence
+    for beta in schedule.betas():
+        uniforms = rng.random(x.shape)
+        for v, (ts, coeffs) in enumerate(var_terms):
+            xv = x[:, v]
+            field = (missing[:, ts] == (1 - xv)[:, None]) @ coeffs
+            delta = np.where(xv, -field, field)
+            if debug_check:
+                flipped = x.copy()
+                flipped[:, v] ^= 1
+                np.testing.assert_allclose(
+                    delta, table.energies(flipped) - table.energies(x), rtol=0, atol=1e-9,
+                    err_msg=f"incremental dE != full re-evaluation for variable {v}")
+            rows = np.flatnonzero(uniforms[:, v] < np.exp(-beta * np.maximum(delta, 0.0)))
+            missing[np.ix_(rows, ts)] += 2 * xv[rows, None] - 1
+            x[rows, v] ^= 1
+    return [SaRead(assignment=a, energy=float(e)) for a, e in zip(x, table.energies(x))]
 
 
 def exhaustive_ground_state(poly: PseudoBooleanPolynomial,
-                            num_variables: int | None = None,
-                            max_variables: int = 24) -> tuple[list[np.ndarray], float]:
+                            num_variables: int | None = None
+                            ) -> tuple[list[np.ndarray], float]:
     """All global minimizers (within 1e-9 of the minimum) by full enumeration."""
-    n = num_variables if num_variables is not None else poly.num_variables
-    if n > max_variables:
+    n = variable_count(poly, num_variables)
+    if n > EXHAUSTIVE_MAX_VARIABLES:
         raise InstanceTooLargeError(
-            f"{n} variables exceed the exhaustive limit of {max_variables}"
+            f"{n} variables exceed the exhaustive limit of {EXHAUSTIVE_MAX_VARIABLES}"
         )
     energies = all_assignment_energies(poly, n)
     best = float(energies.min())
@@ -240,11 +218,10 @@ def tts_sweep(poly: PseudoBooleanPolynomial, ground_energy: float,
               sweep_grid: Sequence[int], num_reads: int,
               desired_probability: float = 0.99, rng_seed: int = 0,
               num_variables: int | None = None,
-              beta_range: tuple[float, float] | None = None,
               flip_frequency: float = 1.0) -> TtsSweepResult:
     """Anneal at each sweep count and report TTS with effort n_s * N / f."""
-    n = num_variables if num_variables is not None else poly.num_variables
-    b0, b1 = beta_range if beta_range is not None else default_beta_range(poly)
+    n = variable_count(poly, num_variables)
+    b0, b1 = default_beta_range(poly)
     rows: list[TtsSweepRow] = []
     for ns in sweep_grid:
         schedule = AnnealSchedule(num_sweeps=int(ns), beta_start=b0, beta_end=b1,

@@ -17,6 +17,7 @@ from .errors import InstanceTooLargeError
 from .mdp import Mdp, PolicyAssignment, enumerate_policy_assignments
 
 ENUMERATION_LIMIT = 1 << 24
+TIE_TOL = 1e-9
 
 
 def value_iteration(mdp: Mdp, tol: float = 1e-12,
@@ -82,13 +83,12 @@ def enumerate_policies(mdp: Mdp) -> Iterator[PolicyAssignment]:
     return enumerate_policy_assignments(mdp.num_states, mdp.num_actions)
 
 
-def best_policy_exhaustive(
-    mdp: Mdp, tie_tol: float = 1e-9
-) -> tuple[PolicyAssignment, float, list[PolicyAssignment]]:
+def best_policy_exhaustive(mdp: Mdp
+                           ) -> tuple[PolicyAssignment, float, list[PolicyAssignment]]:
     """Policy maximizing the exact action-value sum over all pairs.
 
     Returns the winner, its objective value, and any other policies tied
-    within ``tie_tol``.  This objective is exactly minus the untruncated
+    within ``TIE_TOL``.  This objective is exactly minus the untruncated
     cost functional, so the winner is what the compiled ground state should
     converge to as the truncation order grows.
     """
@@ -101,7 +101,7 @@ def best_policy_exhaustive(
         if total > best_val:
             best_val, best_pol = total, pol
     ties = [p for v, p in scored
-            if abs(v - best_val) <= tie_tol and p.bits is not best_pol.bits]
+            if abs(v - best_val) <= TIE_TOL and p.bits is not best_pol.bits]
     return best_pol, best_val, ties
 
 

@@ -4,7 +4,8 @@ A monomial is a sorted, duplicate-free tuple of variable ids; the empty
 tuple is the constant term.  Multilinearity (x^2 = x) is applied whenever a
 term is added, so no monomial ever holds a repeated id.  Coefficients below
 DROP_TOL in magnitude are discarded to keep the term map from accumulating
-floating-point dust.
+floating-point dust.  ``TermTable`` is the array form that the evaluator and
+the annealer share.
 """
 
 from __future__ import annotations
@@ -74,23 +75,7 @@ class PseudoBooleanPolynomial:
     def evaluate(self, assignment) -> float:
         """Value at a 0/1 assignment vector (length >= num_variables)."""
         x = np.asarray(assignment)
-        if x.shape[0] < self.num_variables:
-            raise ValueError(
-                f"assignment has {x.shape[0]} entries, polynomial uses "
-                f"{self.num_variables} variables"
-            )
-        return self.evaluate_packed(sum(1 << int(v) for v in np.flatnonzero(x)))
-
-    def evaluate_packed(self, packed_bits: int) -> float:
-        """Value at an assignment packed as an integer bitmask (bit v = x_v)."""
-        total = 0.0
-        for mono, coeff in self.terms.items():
-            for v in mono:
-                if not (packed_bits >> v) & 1:
-                    break
-            else:
-                total += coeff
-        return total
+        return float(TermTable(self, x.shape[0]).energies(x))
 
     def add(self, other: "PseudoBooleanPolynomial") -> "PseudoBooleanPolynomial":
         out = self.copy()
@@ -127,6 +112,41 @@ class PseudoBooleanPolynomial:
         return poly
 
 
+def variable_count(poly: PseudoBooleanPolynomial, num_variables: int | None) -> int:
+    """``num_variables``, or the polynomial's span when it is None; a count
+    below the span is refused."""
+    n = poly.num_variables if num_variables is None else int(num_variables)
+    if n < poly.num_variables:
+        raise ValueError("num_variables smaller than the polynomial's variable span")
+    return n
+
+
+class TermTable:
+    """A polynomial's terms as arrays over ``num_variables`` variables.
+
+    ``incidence[v, t]`` is 1 when variable v occurs in term t, ``sizes[t]`` is
+    the term's degree (0 for the constant) and ``coeffs[t]`` its coefficient.
+    A term is on exactly when its count of set variables equals its degree.
+    """
+
+    __slots__ = ("incidence", "sizes", "coeffs")
+
+    def __init__(self, poly: PseudoBooleanPolynomial, num_variables: int | None = None):
+        n = variable_count(poly, num_variables)
+        monos = list(poly.terms)
+        self.coeffs = np.fromiter(poly.terms.values(), np.float64, len(monos))
+        # a term's count of set variables must fit: int8 unless it has 128 or more
+        count_type = np.int8 if max(map(len, monos), default=0) < 128 else np.int32
+        self.sizes = np.fromiter(map(len, monos), count_type, len(monos))
+        self.incidence = np.zeros((n, len(monos)), dtype=count_type)
+        cols = np.repeat(np.arange(len(monos)), self.sizes)
+        self.incidence[[v for mono in monos for v in mono], cols] = 1
+
+    def energies(self, assignments) -> np.ndarray:
+        """Energy of each 0/1 row of ``assignments`` (a single row gives a scalar)."""
+        return ((np.asarray(assignments) @ self.incidence) == self.sizes) @ self.coeffs
+
+
 def _term_activity(indices: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """(len(indices), len(masks)) float matrix: 1 where every mask bit is set."""
     return ((indices[:, None] & masks[None, :]) == masks[None, :]).astype(np.float64)
@@ -140,9 +160,7 @@ def all_assignment_energies(poly: PseudoBooleanPolynomial,
     one matrix product between per-half term activities.  Intended for n up
     to ~26 (the full float64 energy vector is returned).
     """
-    n = int(num_variables)
-    if n < poly.num_variables:
-        raise ValueError("num_variables smaller than the polynomial's variable span")
+    n = variable_count(poly, num_variables)
     if n > 26:
         raise InstanceTooLargeError(f"{n} variables is too many for dense enumeration")
     if not poly.terms:

@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
+from .pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies, variable_count
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,9 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = 5.0,
     """
     if reduction_penalty <= 0:
         raise ValueError("reduction penalty must be positive")
-    base = num_variables if num_variables is not None else poly.num_variables
+    base = variable_count(poly, num_variables)
     work = poly.copy()
-    work.num_variables = max(work.num_variables, base)
+    work.num_variables = base
     entries: list[tuple[int, int, int]] = []
     next_id = base
 

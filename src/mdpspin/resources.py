@@ -38,19 +38,17 @@ class ResourceReport:
 def count_resources(qubo: QuboProblem, truncation: int | None = None,
                     discount: float | None = None,
                     num_states: int | None = None,
-                    num_actions: int | None = None,
-                    qaoa_depth: int = 1) -> ResourceReport:
-    """Count used variables and nonzero terms; fill closed forms when the
-    instance context (K, gamma, |S|, |A|) is supplied."""
+                    num_actions: int | None = None) -> ResourceReport:
+    """Count used variables and nonzero terms; fill closed forms (gate volumes
+    at QAOA depth 1) when the instance context (K, gamma, |S|, |A|) is supplied."""
     used = {v for mono in qubo.polynomial.terms for v in mono}
     coefficient_count = sum(1 for m in qubo.polynomial.terms if m)
     fit = None
     worst = ancilla = None
     if truncation is not None and discount is not None and num_states and num_actions:
         fit = scaling_fit(num_states, num_actions, truncation, discount)
-        worst = qaoa_gate_volume(num_states, num_actions, truncation, qaoa_depth, "worst")
-        ancilla = qaoa_gate_volume(num_states, num_actions, truncation, qaoa_depth,
-                                   "ancilla")
+        worst = qaoa_gate_volume(num_states, num_actions, truncation, 1, "worst")
+        ancilla = qaoa_gate_volume(num_states, num_actions, truncation, 1, "ancilla")
     return ResourceReport(
         base_variables=qubo.registry.base_count,
         logical_variables=len(used),

@@ -77,6 +77,16 @@ class TestSimulatedAnneal:
         schedule = AnnealSchedule(4, 0.1, 2.0, num_reads=5, rng_seed=1)
         simulated_anneal(poly, schedule, num_variables=6, debug_check=True)
 
+    def test_incremental_delta_matches_full_reevaluation_past_64_variables(self):
+        # 123 QUBO variables: a read no longer fits in one machine word
+        ham = compile_hamiltonian(build_hallway(10, 0.9), CompilerConfig(5, 3.0))
+        qubo = quadratize(ham.polynomial, 5.0, num_variables=ham.num_variables)
+        assert qubo.num_variables == 123
+        b0, b1 = default_beta_range(qubo.polynomial)
+        schedule = AnnealSchedule(3, b0, b1, num_reads=4, rng_seed=0)
+        simulated_anneal(qubo.polynomial, schedule, num_variables=qubo.num_variables,
+                         debug_check=True)
+
     def test_detailed_balance_two_variable_boltzmann(self):
         # fixed beta, long chain: final-state frequencies follow the Gibbs law
         poly = PseudoBooleanPolynomial(2)

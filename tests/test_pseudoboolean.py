@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, all_assignment_energies,
-                                   normalize_monomial)
+from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, TermTable,
+                                   all_assignment_energies, normalize_monomial)
 
 
 @st.composite
@@ -93,7 +93,9 @@ def test_addition_matches_pointwise_sum(pq1, pq2):
 def test_evaluate_matches_packed_for_every_input_dtype(pq, packed):
     poly, n = pq
     x = bits_of(packed, n)
-    expected = poly.evaluate_packed(packed & ((1 << n) - 1))
+    # the sum of the coefficients whose variables are all 1
+    expected = pytest.approx(sum(c for mono, c in poly.terms.items()
+                                 if all(x[v] for v in mono)), rel=1e-12, abs=1e-12)
     for dtype in (np.int8, np.int64, np.float64, bool):
         assert poly.evaluate(x.astype(dtype)) == expected
     assert poly.evaluate(x.tolist()) == expected
@@ -153,10 +155,20 @@ def test_all_assignment_energies_full_agreement():
         assert energies[i] == pytest.approx(poly.evaluate(bits_of(int(i), 15)), abs=1e-9)
 
 
-def test_evaluate_packed_matches_vector():
-    poly = PseudoBooleanPolynomial()
-    poly.add_term([0, 2], 2.0)
-    poly.add_term([1], -1.0)
-    poly.add_term([], 0.5)
-    for i in range(8):
-        assert poly.evaluate_packed(i) == poly.evaluate(bits_of(i, 3))
+@given(polynomials(max_vars=8))
+@settings(max_examples=40, deadline=None)
+def test_term_table_energies_match_all_assignment_energies(pq):
+    poly, n = pq
+    rows = np.array([bits_of(i, n) for i in range(1 << n)])
+    np.testing.assert_allclose(TermTable(poly, n).energies(rows),
+                               all_assignment_energies(poly, n), rtol=0, atol=1e-9)
+    with pytest.raises(ValueError, match="variable span"):
+        TermTable(poly, poly.num_variables - 1)
+
+
+def test_term_of_more_than_127_variables():
+    poly = PseudoBooleanPolynomial().add_term(range(130), 2.0).add_term(range(127), 1.0)
+    ones = np.ones(130, dtype=np.int8)
+    assert poly.evaluate(ones) == 3.0
+    ones[129] = 0
+    assert poly.evaluate(ones) == 1.0

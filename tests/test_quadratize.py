@@ -80,6 +80,13 @@ def test_determinism():
     assert a.registry == b.registry
 
 
+
+def test_num_variables_below_the_span_is_refused():
+    # ancilla ids start at num_variables, so a short count would reuse x2's id
+    poly = PseudoBooleanPolynomial(4).add_term([0, 1, 3], 1.0).add_term([2], 1.0)
+    with pytest.raises(ValueError, match="variable span"):
+        quadratize(poly, 5.0, num_variables=2)
+
 class TestLiftProject:
     REG = AncillaRegistry(base_count=3, entries=((3, 0, 1), (4, 3, 2)))
 
