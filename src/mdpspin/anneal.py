@@ -1,10 +1,10 @@
 """Ground-state solvers and time-to-solution estimation.
 
-Exhaustive search scans every assignment with vectorized bitmask evaluation;
-the Metropolis annealer works directly on polynomials of any degree via their
-``TermTable``, advancing all reads in lockstep with a per-read count of each
-term's zero variables.  Time to solution follows the standard repeated-trial
-formula
+Exhaustive search and the Metropolis annealer both read a polynomial of any
+degree through its ``TermTable``: the search scans every assignment as one
+product between two halves' term activities, and the annealer advances all
+reads in lockstep with a per-read count of each term's zero variables.  Time
+to solution follows the standard repeated-trial formula
 
     TTS(t) = t * ln(1 - p_d) / ln(1 - p_s)
 
@@ -21,10 +21,11 @@ import numpy as np
 
 from .errors import InstanceTooLargeError
 from .pseudoboolean import (PseudoBooleanPolynomial, TermTable, all_assignment_energies,
-                           variable_count)
+                           bit_rows, variable_count)
 
 ENERGY_MATCH_TOL = 1e-9
 EXHAUSTIVE_MAX_VARIABLES = 24
+EXHAUSTIVE_MAX_MINIMIZERS = 65536
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,11 @@ def exhaustive_ground_state(poly: PseudoBooleanPolynomial,
     energies = all_assignment_energies(poly, n)
     best = float(energies.min())
     idx = np.flatnonzero(energies <= best + ENERGY_MATCH_TOL)
-    if idx.size > 65536:
+    if idx.size > EXHAUSTIVE_MAX_MINIMIZERS:
         raise InstanceTooLargeError(
             f"{idx.size} degenerate minimizers; refusing to materialize them"
         )
-    shifts = np.arange(n, dtype=np.uint64)
-    minimizers = [((np.uint64(i) >> shifts) & np.uint64(1)).astype(np.int8) for i in idx]
-    return minimizers, best
+    return list(bit_rows(idx, n)), best
 
 
 def success_probability(reads: Sequence[SaRead], ground_energy: float,

@@ -137,12 +137,15 @@ def _cmd_quadratize(args) -> int:
 
 
 def _cmd_anneal(args) -> int:
+    if (args.beta_start is None) != (args.beta_end is None):
+        missing = "--beta-start" if args.beta_start is None else "--beta-end"
+        raise ValueError(f"{missing} is missing: give both beta flags or neither")
     inst = _prepare(args)
     mdp, ham, qubo = inst.mdp, inst.ham, inst.qubo
-    if args.beta_start is not None and args.beta_end is not None:
-        beta0, beta1 = args.beta_start, args.beta_end
-    else:
+    if args.beta_start is None:
         beta0, beta1 = default_beta_range(qubo.polynomial)
+    else:
+        beta0, beta1 = args.beta_start, args.beta_end
     schedule = AnnealSchedule(args.sweeps, beta0, beta1, num_reads=args.reads,
                               rng_seed=args.seed or 0)
     reads = simulated_anneal(qubo.polynomial, schedule,
@@ -159,7 +162,7 @@ def _cmd_anneal(args) -> int:
                      f"{bits}")
     lines.append(f"# summary: reads={args.reads} sweeps={args.sweeps} "
                  f"beta=[{beta0!r},{beta1!r}] ground_energy={ground!r} "
-                 f"p_s={p_s!r} stderr={p_err!r} p_d={args.pd}")
+                 f"p_s={p_s!r} stderr={p_err!r}")
     _emit(args, "\n".join(lines) + "\n", "anneal.csv")
     return 0
 
@@ -236,7 +239,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--beta-start", type=float)
     p.add_argument("--beta-end", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--pd", type=float, default=0.99)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_anneal)
 

@@ -4,8 +4,9 @@ A monomial is a sorted, duplicate-free tuple of variable ids; the empty
 tuple is the constant term.  Multilinearity (x^2 = x) is applied whenever a
 term is added, so no monomial ever holds a repeated id.  Coefficients below
 DROP_TOL in magnitude are discarded to keep the term map from accumulating
-floating-point dust.  ``TermTable`` is the array form that the evaluator and
-the annealer share.
+floating-point dust.  ``TermTable`` is the array form that the evaluator,
+dense enumeration and the annealer share; ``bit_rows`` is the one place that
+knows the enumeration order, in which assignment i has x_v = bit v of i.
 """
 
 from __future__ import annotations
@@ -147,30 +148,24 @@ class TermTable:
         return ((np.asarray(assignments) @ self.incidence) == self.sizes) @ self.coeffs
 
 
-def _term_activity(indices: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """(len(indices), len(masks)) float matrix: 1 where every mask bit is set."""
-    return ((indices[:, None] & masks[None, :]) == masks[None, :]).astype(np.float64)
+def bit_rows(indices, num_variables: int) -> np.ndarray:
+    """(len(indices), num_variables) int8 rows, row i having x_v = bit v of indices[i]."""
+    return ((np.asarray(indices)[:, None] >> np.arange(num_variables)) & 1).astype(np.int8)
 
 
 def all_assignment_energies(poly: PseudoBooleanPolynomial,
                             num_variables: int) -> np.ndarray:
     """Energies of all 2^n assignments, assignment i having x_v = bit v of i.
 
-    The vector splits into low/high bit halves so the whole scan reduces to
-    one matrix product between per-half term activities.  Intended for n up
-    to ~26 (the full float64 energy vector is returned).
+    The variables split into a low half of n // 2 and a high half of the rest;
+    a term is on in a half when all of its variables there are set, so the
+    whole scan is one matrix product between the halves' term activities.
+    Intended for n up to ~26 (the full float64 energy vector is returned).
     """
     n = variable_count(poly, num_variables)
     if n > 26:
         raise InstanceTooLargeError(f"{n} variables is too many for dense enumeration")
-    if not poly.terms:
-        return np.zeros(1 << n)
-    masks = np.array([sum(1 << v for v in m) for m in poly.terms], dtype=np.uint64)
-    coeffs = np.array(list(poly.terms.values()), dtype=np.float64)
-    lo_bits = min(n, 14)
-    lo_size = np.uint64((1 << lo_bits) - 1)
-    lo_act = _term_activity(np.arange(1 << lo_bits, dtype=np.uint64), masks & lo_size)
-    hi_act = _term_activity(np.arange(1 << (n - lo_bits), dtype=np.uint64),
-                            masks >> np.uint64(lo_bits))
-    energies = (hi_act * coeffs[None, :]) @ lo_act.T
-    return energies.reshape(-1)
+    table = TermTable(poly, n)
+    lo_on, hi_on = ((bit_rows(np.arange(1 << len(half)), len(half)) @ half) == half.sum(axis=0)
+                    for half in np.split(table.incidence, [n // 2]))
+    return ((hi_on * table.coeffs) @ lo_on.T).reshape(-1)

@@ -45,6 +45,11 @@ class TestExhaustive:
         with pytest.raises(InstanceTooLargeError):
             exhaustive_ground_state(poly, 30)
 
+    def test_minimizer_cap(self):
+        # the zero polynomial on 17 variables: every one of 2^17 assignments is a minimizer
+        with pytest.raises(InstanceTooLargeError, match="131072 degenerate minimizers"):
+            exhaustive_ground_state(PseudoBooleanPolynomial(17), 17)
+
 
 class TestSimulatedAnneal:
     def test_greedy_limit_finds_single_variable_optimum(self):

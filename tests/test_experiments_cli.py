@@ -187,6 +187,14 @@ class TestCli:
         assert len([l for l in lines if not l.startswith("#")]) == 21
         assert lines[-1].startswith("# summary:")
 
+    @pytest.mark.parametrize("given, missing", [("--beta-start", "--beta-end"),
+                                                 ("--beta-end", "--beta-start")])
+    def test_anneal_rejects_a_lone_beta_flag(self, capsys, given, missing):
+        code = main(["anneal", "--hallway", "5", "--gamma", "0.9", "--truncation", "2",
+                     "--sweeps", "2", "--reads", "3", given, "7.5"])
+        assert code == 2
+        assert f"{missing} is missing" in capsys.readouterr().err
+
     def test_oracle_output(self, capsys):
         code = main(["oracle", "--hallway", "6", "--gamma", "0.99", "--exhaustive"])
         assert code == 0

@@ -1,14 +1,17 @@
 """Polynomial algebra tests, including the exhaustive-sweep properties."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from mdpspin.compiler import CompilerConfig, compile_hamiltonian
+from mdpspin.mdp import build_hallway
 from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, TermTable,
-                                   all_assignment_energies, normalize_monomial)
+                                   all_assignment_energies, bit_rows, normalize_monomial)
 
 
 @st.composite
@@ -164,6 +167,35 @@ def test_term_table_energies_match_all_assignment_energies(pq):
                                all_assignment_energies(poly, n), rtol=0, atol=1e-9)
     with pytest.raises(ValueError, match="variable span"):
         TermTable(poly, poly.num_variables - 1)
+
+
+def test_all_assignment_energies_split_edge_cases():
+    # n = 0 leaves both halves empty; n = 1 an empty low half; an odd n unequal halves
+    assert all_assignment_energies(PseudoBooleanPolynomial(), 0).tolist() == [0.0]
+    constant = PseudoBooleanPolynomial().add_term([], 2.5)
+    assert all_assignment_energies(constant, 0).tolist() == [2.5]
+    assert all_assignment_energies(constant, 2).tolist() == [2.5] * 4
+    one = PseudoBooleanPolynomial().add_term([0], -1.5).add_term([], 0.5)
+    assert all_assignment_energies(one, 1).tolist() == [0.5, -1.0]
+    rng = np.random.default_rng(11)
+    poly = PseudoBooleanPolynomial(13)
+    for _ in range(60):
+        poly.add_term(rng.integers(0, 13, size=rng.integers(0, 6)), rng.normal())
+    rows = bit_rows(np.arange(1 << 13), 13)
+    np.testing.assert_allclose(all_assignment_energies(poly, 13),
+                               TermTable(poly, 13).energies(rows), rtol=0, atol=1e-9)
+
+
+def test_all_assignment_energies_peak_memory():
+    # 20 variables and 648 terms; two (16384, terms) float64 halves would peak near 91 MB
+    ham = compile_hamiltonian(build_hallway(10, 0.9), CompilerConfig(5))
+    tracemalloc.start()
+    try:
+        all_assignment_energies(ham.polynomial, ham.num_variables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_term_of_more_than_127_variables():
