@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 from mdpspin.compiler import CompilerConfig, compile_hamiltonian
 from mdpspin.mdp import build_hallway
 from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, TermTable,
-                                   all_assignment_energies, bit_rows, normalize_monomial)
+                                   all_assignment_energies, normalize_monomial)
 
 
 @st.composite
@@ -181,7 +181,7 @@ def test_all_assignment_energies_split_edge_cases():
     poly = PseudoBooleanPolynomial(13)
     for _ in range(60):
         poly.add_term(rng.integers(0, 13, size=rng.integers(0, 6)), rng.normal())
-    rows = bit_rows(np.arange(1 << 13), 13)
+    rows = np.array([bits_of(i, 13) for i in range(1 << 13)])
     np.testing.assert_allclose(all_assignment_energies(poly, 13),
                                TermTable(poly, 13).energies(rows), rtol=0, atol=1e-9)
 
