@@ -41,9 +41,14 @@ class PseudoBooleanPolynomial:
                 self.add_term(mono, coeff)
 
     def add_term(self, variables: Iterable[int], coeff: float) -> "PseudoBooleanPolynomial":
-        """Accumulate ``coeff`` onto the (normalized) monomial; drops tiny results."""
+        """Accumulate ``coeff`` onto the (normalized) monomial; drops tiny results.
+
+        A negative variable id raises ``ValueError``.
+        """
         mono = normalize_monomial(variables)
         if mono:
+            if mono[0] < 0:
+                raise ValueError(f"variable ids must be non-negative, got {mono[0]}")
             self.num_variables = max(self.num_variables, mono[-1] + 1)
         new = self.terms.get(mono, 0.0) + float(coeff)
         if abs(new) <= DROP_TOL:
@@ -106,10 +111,9 @@ class PseudoBooleanPolynomial:
             parts = line.split()
             try:
                 coeff = float(parts[0])
-                ids = [int(p) for p in parts[1:]]
+                poly.add_term([int(p) for p in parts[1:]], coeff)
             except ValueError as e:
                 raise ValueError(f"line {lineno}: {e}") from e
-            poly.add_term(ids, coeff)
         return poly
 
 

@@ -10,9 +10,12 @@ penalty
 which is zero exactly when z = x*y and at least M_OR otherwise.  The rounds
 edit one copy of the input in place and rewrite only the monomials that hold
 the pair; the ancilla is fresh, so a rewritten monomial never meets an
-existing one.  Substitution never rewrites degree-2 terms: gadget penalties
-from earlier rounds must survive verbatim or the reduction stops being
-value-preserving.
+existing one.  The pair counts are kept up to date, not recounted: an index
+from each pair to the degree >= 3 monomials holding it is built once, and a
+round re-indexes only the monomials it rewrites, so its cost is in
+proportion to them.  Substitution never rewrites degree-2 terms: gadget
+penalties from earlier rounds must survive verbatim or the reduction stops
+being value-preserving.
 """
 
 from __future__ import annotations
@@ -80,23 +83,30 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = 5.0,
     work.num_variables = base
     entries: list[tuple[int, int, int]] = []
     next_id = base
-
-    while True:
-        high = [m for m in work.terms if len(m) >= 3]
-        if not high:
-            break
-        counts: dict[tuple[int, int], int] = {}
-        for mono in high:
-            for pair in combinations(mono, 2):
-                counts[pair] = counts.get(pair, 0) + 1
-        top = max(counts.values())
-        x, y = min(p for p, c in counts.items() if c == top)
+    # holders[pair]: the degree >= 3 monomials holding the pair, in term order,
+    # since a monomial enters it when add_term appends it to work.terms
+    holders: dict[tuple[int, int], dict[tuple[int, ...], None]] = {}
+    for mono in [m for m in work.terms if len(m) >= 3]:
+        for pair in combinations(mono, 2):
+            holders.setdefault(pair, {})[mono] = None
+    while holders:
+        top = max(map(len, holders.values()))
+        x, y = min(p for p, h in holders.items() if len(h) == top)
         z = next_id
         next_id += 1
         entries.append((z, x, y))
 
-        for mono in [m for m in high if x in m and y in m]:
-            work.add_term((set(mono) - {x, y}) | {z}, work.terms.pop(mono))
+        for mono in holders.pop((x, y)):
+            for pair in combinations(mono, 2):
+                if pair != (x, y):
+                    del holders[pair][mono]
+                    if not holders[pair]:
+                        del holders[pair]
+            # z is the largest id so far, so the rewrite stays sorted
+            new = tuple(v for v in mono if v != x and v != y) + (z,)
+            work.add_term(new, work.terms.pop(mono))
+            for pair in combinations(new, 2) if len(new) >= 3 else ():
+                holders.setdefault(pair, {})[new] = None
         for mono, coeff in rosenberg_penalty(x, y, z, reduction_penalty).terms.items():
             work.add_term(mono, coeff)
 

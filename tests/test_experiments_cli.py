@@ -177,6 +177,14 @@ class TestCli:
         text = (tmp_path / "problem.qubo").read_text()
         assert text.splitlines()[1].startswith("p qubo 0 ")
 
+    def test_quadratize_rejects_a_negative_variable_id(self, tmp_path, capsys):
+        path = tmp_path / "negative.txt"
+        path.write_text("1.0 -1 0 2\n2.0 -3\n")
+        code = main(["quadratize", "--poly", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "line 1: variable ids must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "problem.qubo").exists()
+
     def test_anneal_csv(self, tmp_path):
         code = main(["anneal", "--hallway", "6", "--gamma", "0.6",
                      "--truncation", "2", "--sweeps", "5", "--reads", "20",

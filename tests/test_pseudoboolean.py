@@ -137,6 +137,18 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 2"):
             PseudoBooleanPolynomial.from_text("1.0 0\nbogus x\n")
 
+    def test_negative_id_reports_line(self):
+        with pytest.raises(ValueError, match="line 2: variable ids must be non-negative, got -1"):
+            PseudoBooleanPolynomial.from_text("2.0 0\n1.0 -1\n")
+
+
+def test_add_term_rejects_negative_ids():
+    poly = PseudoBooleanPolynomial(3)
+    for ids in ([-1], [0, -3, 2], [-2, -2]):
+        with pytest.raises(ValueError, match="non-negative"):
+            poly.add_term(ids, 1.0)
+    assert poly.terms == {} and poly.num_variables == 3
+
 
 @given(polynomials(max_vars=8))
 @settings(max_examples=40, deadline=None)

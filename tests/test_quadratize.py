@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from mdpspin import CompilerConfig, build_hallway, compile_hamiltonian
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
 from mdpspin.quadratize import (AncillaRegistry, consistency_violations, lift,
                                 minimized_over_ancillas, project, quadratize,
@@ -22,6 +23,93 @@ def reducible_polynomials(draw):
         mono = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
         poly.add_term(mono, draw(st.floats(-5, 5, allow_nan=False)))
     return poly, n
+
+
+@st.composite
+def pair_sharing_polynomials(draw):
+    """Monomials of degree <= 6 over <= 10 variables built from a few shared
+    pairs, so that many pairs tie on their counts; small integer
+    coefficients let gadget terms cancel stored ones."""
+    n = draw(st.integers(3, 10))
+    var = st.integers(0, n - 1)
+    pool = draw(st.lists(st.tuples(var, var), min_size=1, max_size=4))
+    poly = PseudoBooleanPolynomial(n)
+    for _ in range(draw(st.integers(1, 16))):
+        mono = {v for pair in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+                for v in pair}
+        mono |= set(draw(st.lists(var, max_size=3)))
+        poly.add_term(sorted(mono)[:6], draw(st.integers(-3, 3)))
+    return poly, n
+
+
+def recount_reference(poly, strength, num_variables):
+    """Term items and registry entries of the reduction with every pair
+    recounted over every degree >= 3 monomial in every round; an oracle for
+    the pair rule and the term order."""
+    work = poly.copy()
+    entries = []
+    while high := [m for m in work.terms if len(m) >= 3]:
+        counts = {}
+        for mono in high:
+            for pair in itertools.combinations(mono, 2):
+                counts[pair] = counts.get(pair, 0) + 1
+        top = max(counts.values())
+        x, y = min(p for p, c in counts.items() if c == top)
+        z = num_variables + len(entries)
+        entries.append((z, x, y))
+        for mono in [m for m in high if x in m and y in m]:
+            work.add_term((set(mono) - {x, y}) | {z}, work.terms.pop(mono))
+        for mono, coeff in rosenberg_penalty(x, y, z, strength).terms.items():
+            work.add_term(mono, coeff)
+    return list(work.terms.items()), tuple(entries)
+
+
+def assert_matches_reference(poly, strength, num_variables):
+    qubo = quadratize(poly, strength, num_variables=num_variables)
+    items, entries = recount_reference(poly, strength, num_variables)
+    assert qubo.registry == AncillaRegistry(num_variables, entries)
+    assert list(qubo.polynomial.terms.items()) == items
+    return qubo
+
+
+@given(pair_sharing_polynomials(), st.sampled_from([1.0, 2.0, 5.0]))
+@settings(max_examples=200, deadline=None)
+def test_matches_full_recount_reference(poly_n, strength):
+    poly, n = poly_n
+    assert_matches_reference(poly, strength, n)
+
+
+def test_matches_full_recount_reference_on_deep_hallway():
+    ham = compile_hamiltonian(build_hallway(8, 0.9), CompilerConfig(8))
+    qubo = assert_matches_reference(ham.polynomial, 5.0, ham.num_variables)
+    assert qubo.registry.num_ancillas == 279
+
+
+class TestPairIndexEdges:
+    def test_cubic_rewrite_leaves_the_index(self):
+        # (0,1,2) becomes the quadratic (2,6); were it still indexed, its pair
+        # would tie with (3,4) and win as the smaller one
+        poly = PseudoBooleanPolynomial(6).add_term([0, 1, 2], 1.5).add_term([3, 4, 5], 1.0)
+        qubo = assert_matches_reference(poly, 5.0, 6)
+        assert qubo.registry.entries == ((6, 0, 1), (7, 3, 4))
+        assert qubo.polynomial.terms[(2, 6)] == 1.5
+
+    def test_pair_whose_last_holder_is_rewritten_leaves_the_index(self):
+        # round one rewrites the only holders of (0,2) and (0,3); a stale
+        # entry would tie with (4,5) in round two and win as the smaller pair
+        poly = PseudoBooleanPolynomial(7)
+        for mono in ([0, 1, 2], [0, 1, 3], [4, 5, 6]):
+            poly.add_term(mono, 1.0)
+        qubo = assert_matches_reference(poly, 5.0, 7)
+        assert qubo.registry.entries == ((7, 0, 1), (8, 4, 5))
+
+    def test_high_degree_terms_that_cancel_give_no_rounds(self):
+        poly = PseudoBooleanPolynomial(4)
+        poly.add_term([0, 1, 2], 1.0).add_term([0, 1, 2, 3], 2.0).add_term([0, 1], 0.5)
+        poly.add_term([2, 1, 0], -1.0).add_term([3, 2, 1, 0], -2.0)
+        qubo = quadratize(poly, 5.0)
+        assert qubo.registry == AncillaRegistry(4)
+        assert qubo.polynomial.terms == {(0, 1): 0.5}
 
 
 def test_gadget_truth_table():
