@@ -45,6 +45,9 @@ CASES = {
     "anneal_cli": lambda d: main([
         "anneal", "--hallway", "5", "--gamma", "0.9", "--truncation", "3",
         "--sweeps", "5", "--reads", "12", "--seed", "3", "--out", d]),
+    "oracle_cli": lambda d: main([
+        "oracle", "--hallway", "6", "--gamma", "0.9", "--exhaustive", "--qlearning",
+        "--episodes", "300", "--seed", "1", "--out", d]),
     "quadratize_cli": lambda d: main([
         "quadratize", "--hallway", "8", "--gamma", "0.9", "--truncation", "4",
         "--out", d]),
