@@ -13,8 +13,7 @@ from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
                        coupling_coefficient, minimal_truncation_order,
                        truncated_q_table)
 from .dp import (QLearningConfig, bellman_residual, best_policy_exhaustive,
-                 enumerate_policies, policy_evaluation_exact, q_learning,
-                 value_iteration)
+                 policy_evaluation_exact, q_learning, value_iteration)
 from .errors import InstanceTooLargeError
 from .mdp import (Mdp, ParseError, PolicyAssignment, ValidationError, build_hallway,
                   flat_index, load_mdp, save_mdp, terminal_states, unflatten_index,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dp import value_iteration
 from .errors import InstanceTooLargeError
-from .mdp import Mdp, PolicyAssignment, ValidationError, flat_index, validate
+from .mdp import Mdp, PolicyAssignment, ValidationError, flat_index, policy_rows, validate
 from .pseudoboolean import PseudoBooleanPolynomial
 
 UNIQUENESS_GAP = 1e-9
@@ -238,8 +238,8 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
         raise ValidationError(violations)
     _, greedy = value_iteration(mdp)
     target = greedy.interior_actions()
-    grid = np.indices((mdp.num_actions,) * mdp.num_states)
-    actions = grid.reshape(mdp.num_states, -1).T
+    actions = policy_rows(mdp.num_states, mdp.num_actions,
+                          np.arange(mdp.num_actions ** mdp.num_states))
     rollout = _rollout(mdp, actions)
     next(rollout)                       # order 0 does not depend on the policy
     for k in range(1, k_max + 1):

@@ -2,22 +2,23 @@
 
 Value iteration and exact policy evaluation are the ground-truth solvers the
 compiled cost functions are checked against; exhaustive policy search scores
-every deterministic policy by its exact action-value sum; tabular Q-learning
-provides the sampled-experience baseline.
+every deterministic policy by its exact action-value sum, a batch of policies
+per stacked solve; tabular Q-learning provides the sampled-experience baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .mdp import Mdp, PolicyAssignment, enumerate_policy_assignments
+from .mdp import Mdp, PolicyAssignment, policy_rows
 
 ENUMERATION_LIMIT = 1 << 24
 TIE_TOL = 1e-9
+_BATCH_FLOATS = 1 << 21    # system entries per batch of best_policy_exhaustive, 16 MB
 
 
 def value_iteration(mdp: Mdp, tol: float = 1e-12,
@@ -50,37 +51,25 @@ def bellman_residual(mdp: Mdp, q: np.ndarray) -> float:
     return float(np.abs(backed - q).max())
 
 
+def _exact_q(mdp: Mdp, actions: np.ndarray) -> np.ndarray:
+    """Exact Q^pi, shape (rows, |S|, |A|), of each policy row of ``actions`` (an
+    action per state): one stacked solve of the rows' |S x A| fixed-point systems."""
+    rows, nv = actions.shape[0], mdp.num_pairs
+    picked = actions[:, None, None, :, None] == np.arange(mdp.num_actions)
+    walk = (mdp.transition[..., None] * picked).reshape(rows, nv, nv)
+    rhs = np.broadcast_to(mdp.expected_reward().reshape(1, nv, 1), (rows, nv, 1))
+    try:
+        q = np.linalg.solve(np.eye(nv) - mdp.discount * walk, rhs)
+    except np.linalg.LinAlgError as e:  # cannot occur for gamma < 1; guarded anyway
+        raise RuntimeError(f"policy evaluation system is singular: {e}") from e
+    return q.reshape(rows, mdp.num_states, mdp.num_actions)
+
+
 def policy_evaluation_exact(mdp: Mdp, policy: PolicyAssignment) -> np.ndarray:
     """Exact Q^pi by solving the |S x A|-dimensional linear fixed-point system."""
     if not policy.is_feasible():
         raise ValueError("exact evaluation requires a feasible policy")
-    n, na = mdp.num_states, mdp.num_actions
-    actions = policy.actions()
-    pr = mdp.expected_reward()
-    nv = n * na
-    system = np.eye(nv)
-    for s in range(n):
-        for a in range(na):
-            row = s * na + a
-            for sp in range(n):
-                p = mdp.transition[s, a, sp]
-                if p:
-                    system[row, sp * na + actions[sp]] -= mdp.discount * p
-    try:
-        q_flat = np.linalg.solve(system, pr.reshape(-1))
-    except np.linalg.LinAlgError as e:  # cannot occur for gamma < 1; guarded anyway
-        raise RuntimeError(f"policy evaluation system is singular: {e}") from e
-    return q_flat.reshape(n, na)
-
-
-def enumerate_policies(mdp: Mdp) -> Iterator[PolicyAssignment]:
-    """All |A|^|S| deterministic policies (guarded against blow-up)."""
-    count = mdp.num_actions ** mdp.num_states
-    if count > ENUMERATION_LIMIT:
-        raise InstanceTooLargeError(
-            f"{count} deterministic policies exceed the enumeration limit"
-        )
-    return enumerate_policy_assignments(mdp.num_states, mdp.num_actions)
+    return _exact_q(mdp, policy.actions()[None])[0]
 
 
 def best_policy_exhaustive(mdp: Mdp
@@ -88,21 +77,27 @@ def best_policy_exhaustive(mdp: Mdp
     """Policy maximizing the exact action-value sum over all pairs.
 
     Returns the winner, its objective value, and any other policies tied
-    within ``TIE_TOL``.  This objective is exactly minus the untruncated
-    cost functional, so the winner is what the compiled ground state should
-    converge to as the truncation order grows.
+    within ``TIE_TOL``, first maximum and ties in lexicographic order.  This
+    objective is exactly minus the untruncated cost functional, so the winner
+    is what the compiled ground state should converge to as the truncation
+    order grows.
     """
-    best_val = -np.inf
-    best_pol: PolicyAssignment | None = None
-    scored: list[tuple[float, PolicyAssignment]] = []
-    for pol in enumerate_policies(mdp):
-        total = float(policy_evaluation_exact(mdp, pol).sum())
-        scored.append((total, pol))
-        if total > best_val:
-            best_val, best_pol = total, pol
-    ties = [p for v, p in scored
-            if abs(v - best_val) <= TIE_TOL and p.bits is not best_pol.bits]
-    return best_pol, best_val, ties
+    n, na = mdp.num_states, mdp.num_actions
+    count = na ** n
+    if count > ENUMERATION_LIMIT:
+        raise InstanceTooLargeError(
+            f"{count} deterministic policies exceed the enumeration limit"
+        )
+    batch = max(1, _BATCH_FLOATS // mdp.num_pairs ** 2)
+    totals = np.concatenate([
+        _exact_q(mdp, policy_rows(n, na, np.arange(lo, min(lo + batch, count))))
+        .reshape(-1, mdp.num_pairs).sum(axis=1)
+        for lo in range(0, count, batch)])
+    best = int(totals.argmax())
+    tied = np.flatnonzero(np.abs(totals - totals[best]) <= TIE_TOL)
+    best_pol, *ties = [PolicyAssignment.from_actions(row, na)
+                       for row in policy_rows(n, na, np.r_[best, tied[tied != best]])]
+    return best_pol, float(totals[best]), ties
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,6 +82,18 @@ def flat_index(state: int, action: int, num_actions: int) -> int:
 def unflatten_index(flat_id: int, num_actions: int) -> tuple[int, int]:
     """Inverse of :func:`flat_index`."""
     return divmod(flat_id, num_actions)
+
+
+def policy_rows(num_states: int, num_actions: int, indices: np.ndarray) -> np.ndarray:
+    """Actions ``rows[i, s]`` of the policies at lexicographic ``indices``.
+
+    Row i holds the base-|A| digits of ``indices[i]``, state 0 most
+    significant, decoded in int32 (|A|^|S| below 2^31), so unlike
+    ``np.indices`` it takes any number of states.  The rows are a transposed
+    state-major array, on which the compiler's ``_rollout`` runs faster.
+    """
+    place = num_actions ** np.arange(num_states - 1, -1, -1, dtype=np.int32)
+    return (np.asarray(indices, dtype=np.int32) // place[:, None] % num_actions).T
 
 
 @dataclass
@@ -261,15 +273,3 @@ def load_mdp(text: str) -> Mdp:
     if violations:
         raise ValidationError(violations)
     return mdp
-
-
-def enumerate_policy_assignments(num_states: int, num_actions: int) -> Iterator[PolicyAssignment]:
-    """Yield all |A|^|S| feasible deterministic policies in lexicographic order."""
-    total = num_actions ** num_states
-    actions = [0] * num_states
-    for idx in range(total):
-        rem = idx
-        for s in range(num_states - 1, -1, -1):
-            actions[s] = rem % num_actions
-            rem //= num_actions
-        yield PolicyAssignment.from_actions(actions, num_actions)

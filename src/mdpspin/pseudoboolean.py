@@ -34,6 +34,8 @@ class PseudoBooleanPolynomial:
 
     def __init__(self, num_variables: int = 0,
                  terms: Mapping[Monomial, float] | None = None):
+        if num_variables < 0:
+            raise ValueError(f"variable count must be non-negative, got {num_variables}")
         self.num_variables = int(num_variables)
         self.terms: dict[Monomial, float] = {}
         if terms:

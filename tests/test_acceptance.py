@@ -16,8 +16,7 @@ from mdpspin.compiler import (CompilerConfig, compile_hamiltonian,
                               minimal_truncation_order, truncated_q_table)
 from mdpspin.dp import (bellman_residual, best_policy_exhaustive, policy_evaluation_exact,
                         q_learning, QLearningConfig, value_iteration)
-from mdpspin.mdp import (PolicyAssignment, build_hallway, enumerate_policy_assignments,
-                         terminal_states)
+from mdpspin.mdp import PolicyAssignment, build_hallway, policy_rows, terminal_states
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
 from mdpspin.quadratize import minimized_over_ancillas, quadratize, rosenberg_penalty
 
@@ -158,7 +157,8 @@ def test_c05_walk_sum_matches_bellman_rollout():
     worst = 0.0
     for k in (1, 2, 3):
         ham = compile_hamiltonian(mdp, CompilerConfig(k, 3.0))
-        for pol in enumerate_policy_assignments(6, 2):
+        for row in policy_rows(6, 2, np.arange(64)):
+            pol = PolicyAssignment.from_actions(row, 2)
             lhs = ham.objective.evaluate(pol.bits) + ham.constant_offset
             rhs = -truncated_q_table(mdp, pol, k).sum()
             worst = max(worst, abs(lhs - rhs))

@@ -12,7 +12,7 @@ from mdpspin.anneal import (AnnealSchedule, default_beta_range, exhaustive_groun
                             tts_sweep)
 from mdpspin.compiler import CompilerConfig, compile_hamiltonian
 from mdpspin.errors import InstanceTooLargeError
-from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, enumerate_policy_assignments
+from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, policy_rows
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial
 from mdpspin.quadratize import quadratize
 
@@ -37,7 +37,8 @@ class TestExhaustive:
         minimizers, energy = exhaustive_ground_state(ham.polynomial, 6)
         assert energy == 0.0
         found = {tuple(m) for m in minimizers}
-        expected = {tuple(p.bits) for p in enumerate_policy_assignments(3, 2)}
+        expected = {tuple(PolicyAssignment.from_actions(row, 2).bits)
+                    for row in policy_rows(3, 2, np.arange(8))}
         assert found == expected
 
     def test_variable_cap(self):

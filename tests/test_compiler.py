@@ -12,8 +12,7 @@ from mdpspin.compiler import (CompilerConfig, compile_hamiltonian, coupling_coef
                               minimal_truncation_order, truncated_q_table)
 from mdpspin.dp import policy_evaluation_exact
 from mdpspin.errors import InstanceTooLargeError
-from mdpspin.mdp import (Mdp, PolicyAssignment, ValidationError, build_hallway,
-                         enumerate_policy_assignments)
+from mdpspin.mdp import Mdp, PolicyAssignment, ValidationError, build_hallway, policy_rows
 from mdpspin.pseudoboolean import DROP_TOL, all_assignment_energies
 
 
@@ -63,8 +62,8 @@ class TestCompile:
         ham = compile_hamiltonian(zero, CompilerConfig(3, 3.0))
         assert len(ham.objective) == 0
         assert ham.constant_offset == 0.0
-        for pol in enumerate_policy_assignments(6, 2):
-            assert ham.polynomial.evaluate(pol.bits) == 0.0
+        for row in policy_rows(6, 2, np.arange(64)):
+            assert ham.polynomial.evaluate(PolicyAssignment.from_actions(row, 2).bits) == 0.0
 
     def test_degree_bounded_by_truncation_order(self):
         mdp = build_hallway(6, 0.99)
@@ -195,7 +194,9 @@ def assert_oracle_identity(mdp, k):
     energies = all_assignment_energies(ham.objective, ham.num_variables)
     scale = sum(abs(c) for c in ham.objective.terms.values()) + abs(ham.constant_offset)
     weights = 1 << np.arange(ham.num_variables)
-    for pol in enumerate_policy_assignments(mdp.num_states, mdp.num_actions):
+    n, na = mdp.num_states, mdp.num_actions
+    for row in policy_rows(n, na, np.arange(na ** n)):
+        pol = PolicyAssignment.from_actions(row, na)
         walk_side = energies[pol.bits @ weights] + ham.constant_offset
         oracle_side = -truncated_q_table(mdp, pol, k).sum()
         assert walk_side == pytest.approx(oracle_side, abs=1e-12 * scale)

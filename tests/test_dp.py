@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from mdpspin.dp import (ENUMERATION_LIMIT, QLearningConfig, bellman_residual,
-                        best_policy_exhaustive, enumerate_policies,
-                        policy_evaluation_exact, q_learning, value_iteration)
+from mdpspin import dp
+from mdpspin.dp import (ENUMERATION_LIMIT, TIE_TOL, QLearningConfig, bellman_residual,
+                        best_policy_exhaustive, policy_evaluation_exact, q_learning,
+                        value_iteration)
 from mdpspin.errors import InstanceTooLargeError
-from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, terminal_states
+from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, policy_rows, terminal_states
 
 
 def test_value_iteration_recovers_known_policy():
@@ -81,16 +84,94 @@ class TestPolicyEvaluation:
             policy_evaluation_exact(mdp, PolicyAssignment(np.zeros(12, dtype=np.int8), 6, 2))
 
 
+def reference_q(mdp, policy):
+    """The per-pair loop that filled the |S x A| system before it was batched."""
+    n, na = mdp.num_states, mdp.num_actions
+    actions = policy.actions()
+    system = np.eye(n * na)
+    for s in range(n):
+        for a in range(na):
+            for sp in range(n):
+                p = mdp.transition[s, a, sp]
+                if p:
+                    system[s * na + a, sp * na + actions[sp]] -= mdp.discount * p
+    return np.linalg.solve(system, mdp.expected_reward().reshape(-1)).reshape(n, na)
+
+
+def reference_best(mdp):
+    """Scores one policy at a time in lexicographic order; first maximum wins."""
+    n, na = mdp.num_states, mdp.num_actions
+    best_val, best_pol, scored = -np.inf, None, []
+    for idx in range(na ** n):
+        digits = [idx // na ** (n - 1 - s) % na for s in range(n)]
+        pol = PolicyAssignment.from_actions(digits, na)
+        total = float(reference_q(mdp, pol).sum())
+        scored.append((total, pol))
+        if total > best_val:
+            best_val, best_pol = total, pol
+    ties = [p for v, p in scored if abs(v - best_val) <= TIE_TOL and p is not best_pol]
+    return best_pol, best_val, ties
+
+
+def assert_same_search(got, expected):
+    (best, total, ties), (ref_best, ref_total, ref_ties) = got, expected
+    np.testing.assert_array_equal(best.bits, ref_best.bits)
+    assert total == ref_total
+    assert [t.bits.tolist() for t in ties] == [t.bits.tolist() for t in ref_ties]
+
+
+@st.composite
+def small_mdps(draw):
+    n, na = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    P = rng.dirichlet(np.ones(n), size=(n, na))
+    P[rng.random((n, na, n)) < 0.3] = 0.0      # sparse rows, renormalized below
+    P[:, :, 0] += P.sum(axis=2) == 0.0
+    P /= P.sum(axis=2, keepdims=True)
+    R = rng.normal(size=(n, na, n)) * draw(st.sampled_from([0.0, 1.0]))
+    return Mdp(P, R, draw(st.floats(0.05, 0.95)))
+
+
 class TestExhaustiveSearch:
     def test_yields_all_policies(self):
-        assert sum(1 for _ in enumerate_policies(build_hallway(6, 0.9))) == 64
+        rows = policy_rows(6, 2, np.arange(64))
+        assert len({tuple(r) for r in rows}) == 64
+        # zero rewards: every policy ties, so the search returns all 64 in order
+        mdp = build_hallway(6, 0.9)
+        best, total, ties = best_policy_exhaustive(Mdp(mdp.transition, 0 * mdp.reward, 0.9))
+        assert total == 0.0
+        assert [p.actions().tolist() for p in [best, *ties]] == rows.tolist()
 
     def test_too_large_raises(self):
         P = np.zeros((25, 2, 25))
         P[:, :, 0] = 1.0
-        with pytest.raises(InstanceTooLargeError):
-            enumerate_policies(Mdp(P, np.zeros_like(P), 0.9))
+        with pytest.raises(InstanceTooLargeError, match="enumeration limit"):
+            best_policy_exhaustive(Mdp(P, np.zeros_like(P), 0.9))
         assert ENUMERATION_LIMIT == 2 ** 24
+
+    def test_single_action_past_the_grid_dimension_cap(self):
+        # a deterministic 70-state cycle paying 1 per step: Q = 1 / (1 - 0.9) per state
+        P = np.roll(np.eye(70), 1, axis=1)[:, None, :]
+        best, total, ties = best_policy_exhaustive(Mdp(P, np.ones_like(P), 0.9))
+        assert best.actions().tolist() == [0] * 70
+        assert total == 700.0 and ties == []
+
+    @given(small_mdps())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_policy_loop(self, mdp):
+        expected = reference_best(mdp)
+        assert_same_search(best_policy_exhaustive(mdp), expected)
+        np.testing.assert_array_equal(policy_evaluation_exact(mdp, expected[0]),
+                                      reference_q(mdp, expected[0]))
+
+    @pytest.mark.parametrize("per_batch", [1, 3])
+    def test_batches_do_not_change_the_result(self, monkeypatch, per_batch):
+        hall = build_hallway(5, 0.9)
+        for mdp in (hall, Mdp(hall.transition, 0 * hall.reward, 0.9)):
+            whole = best_policy_exhaustive(mdp)
+            monkeypatch.setattr(dp, "_BATCH_FLOATS", per_batch * mdp.num_pairs ** 2)
+            assert_same_search(best_policy_exhaustive(mdp), whole)
+            monkeypatch.undo()
 
     def test_objective_is_exact_action_value_sum(self):
         mdp = build_hallway(4, 0.9)

@@ -255,9 +255,13 @@ class TestCli:
         assert code == 3
         assert "walk frontier passed 100 states" in capsys.readouterr().err
 
-    def test_exit_code_3_past_the_policy_enumeration_limit(self, capsys):
+    def test_exit_code_3_past_the_policy_enumeration_limit(self, tmp_path, capsys):
         # 25 states: 2^25 policies exceed the exhaustive search's 2^24
         assert main(["oracle", "--hallway", "25", "--exhaustive"]) == 3
+        assert "enumeration limit" in capsys.readouterr().err
+        doc = tmp_path / "wide.json"
+        doc.write_text(save_mdp(build_hallway(25, 0.9)))
+        assert main(["oracle", "--mdp", str(doc), "--exhaustive"]) == 3
         assert "enumeration limit" in capsys.readouterr().err
 
     def test_exit_code_3_past_the_exhaustive_ground_state_limit(self, capsys):

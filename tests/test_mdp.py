@@ -6,8 +6,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mdpspin.mdp import (Mdp, ParseError, PolicyAssignment, ValidationError,
-                         build_hallway, enumerate_policy_assignments, flat_index,
-                         load_mdp, save_mdp, unflatten_index, validate)
+                         build_hallway, flat_index, load_mdp, policy_rows, save_mdp,
+                         unflatten_index, validate)
 
 
 def test_hallway_passes_validation():
@@ -115,12 +115,13 @@ class TestPolicyAssignment:
             PolicyAssignment(np.array([2, 0]), 1, 2)
 
     def test_enumeration_counts(self):
-        policies = list(enumerate_policy_assignments(6, 2))
-        assert len(policies) == 64
-        assert all(p.is_feasible() for p in policies)
-        # lexicographic: first all-zeros, last all-ones
-        assert list(policies[0].actions()) == [0] * 6
-        assert list(policies[-1].actions()) == [1] * 6
+        rows = policy_rows(6, 2, np.arange(64))
+        assert rows.shape == (64, 6)
+        # lexicographic, state 0 most significant: row i spells i in binary
+        assert [int("".join(map(str, r)), 2) for r in rows] == list(range(64))
+        assert policy_rows(3, 3, [5, 26]).tolist() == [[0, 1, 2], [2, 2, 2]]
+        # more states than np.indices accepts dimensions
+        assert policy_rows(70, 1, [0]).tolist() == [[0] * 70]
 
 
 class TestSerialization:

@@ -142,6 +142,12 @@ class TestTextFormat:
             PseudoBooleanPolynomial.from_text("2.0 0\n1.0 -1\n")
 
 
+def test_negative_variable_count_rejected():
+    with pytest.raises(ValueError, match="non-negative, got -3"):
+        PseudoBooleanPolynomial(-3)
+    assert PseudoBooleanPolynomial(0).num_variables == 0
+
+
 def test_add_term_rejects_negative_ids():
     poly = PseudoBooleanPolynomial(3)
     for ids in ([-1], [0, -3, 2], [-2, -2]):
