@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from mdpspin import compiler
+from mdpspin.anneal import AnnealSchedule, simulated_anneal
 from mdpspin.cli import main, parse_config_file
 from mdpspin.compiler import minimal_truncation_order
-from mdpspin.experiments import (ExperimentConfig, run_k_heatmap, run_oracle_compare,
-                                 run_resources, run_solve, run_tts_sweep)
+from mdpspin.experiments import (ExperimentConfig, prepare, run_k_heatmap,
+                                 run_oracle_compare, run_resources, run_solve,
+                                 run_tts_sweep)
 from mdpspin.mdp import ParseError, build_hallway, save_mdp
 
 
@@ -195,6 +197,20 @@ class TestCli:
         assert len([l for l in lines if not l.startswith("#")]) == 21
         assert lines[-1].startswith("# summary:")
 
+    def test_anneal_with_explicit_betas_anneals_that_schedule(self, tmp_path):
+        code = main(["anneal", "--hallway", "5", "--gamma", "0.9", "--truncation", "2",
+                     "--sweeps", "3", "--reads", "8", "--seed", "1",
+                     "--beta-start", "0.2", "--beta-end", "4.0", "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "anneal.csv").read_text().splitlines()
+        assert " beta=[0.2,4.0] " in lines[-1]
+        qubo = prepare(build_hallway(5, 0.9), ExperimentConfig(truncation=2)).qubo
+        reads = simulated_anneal(qubo.polynomial,
+                                 AnnealSchedule(3, 0.2, 4.0, num_reads=8, rng_seed=1),
+                                 num_variables=qubo.num_variables)
+        energies = [float(line.split(",")[1]) for line in lines[1:-1]]
+        assert energies == [read.energy for read in reads]
+
     @pytest.mark.parametrize("given, missing", [("--beta-start", "--beta-end"),
                                                  ("--beta-end", "--beta-start")])
     def test_anneal_rejects_a_lone_beta_flag(self, capsys, given, missing):
@@ -289,3 +305,32 @@ class TestCli:
     @pytest.mark.parametrize("command", ["solve", "oracle-compare"])
     def test_single_instance_too_large_for_the_k_search_exits_3(self, command, capsys):
         assert main([command, "--num-states", "13", "--gamma", "0.6"]) == 3
+
+    @pytest.mark.parametrize("command", ["solve", "oracle-compare", "k-heatmap",
+                                         "tts-sweep", "resources"])
+    def test_every_experiment_flag_reaches_the_config(self, tmp_path, capsys, command):
+        config_file = tmp_path / "exp.cfg"
+        config_file.write_text("num_qlearning_seeds = 1\nqlearning_episodes = 50\n")
+        out = tmp_path / "out"
+        args = [command, "--config", str(config_file), "--truncation", "2",
+                "--penalty-strength", "3.5", "--reduction-penalty", "6.5",
+                "--num-reads", "4", "--seed", "7", "--out", str(out)]
+        expected = dict(experiment=command, truncation=2, penalty_strength=3.5,
+                        reduction_penalty=6.5, num_reads=4, seed=7,
+                        num_qlearning_seeds=1, qlearning_episodes=50, out_dir=str(out))
+        single = command in ("solve", "oracle-compare")
+        if single:
+            args += ["--num-states", "5", "--gamma", "0.9", "--num-sweeps", "2"]
+            expected.update(num_sweeps=2)
+        else:
+            args += ["--sizes", "4", "5", "--gammas", "0.6", "--k-max", "3",
+                     "--sweep-grid", "1", "2"]
+            expected.update(sizes=(4, 5), gammas=(0.6,), k_max=3, sweep_grid=(1, 2))
+        assert main(args) == 0
+        (path,) = out.glob("*.json")
+        written = json.loads(path.read_text())
+        if single:
+            assert written["instance"]["num_states"] == 5
+            assert written["instance"]["gamma"] == 0.9
+            written = written["config"]
+        assert written == json.loads(json.dumps(ExperimentConfig(**expected).as_dict()))
