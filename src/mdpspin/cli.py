@@ -173,7 +173,7 @@ def _cmd_oracle(args) -> int:
     q, greedy = value_iteration(mdp)
     for s in range(mdp.num_states):
         for a in range(mdp.num_actions):
-            lines.append(f"value_iteration,{s},{a},{q[s, a]!r}")
+            lines.append(f"value_iteration,{s},{a},{float(q[s, a])!r}")
     if args.exhaustive:
         best, total, ties = best_policy_exhaustive(mdp)
         lines.append(f"# exhaustive best action-value sum: {total!r} ties: {len(ties)}")
@@ -185,7 +185,7 @@ def _cmd_oracle(args) -> int:
         ql, ql_greedy = q_learning(mdp, cfg, terminal=terminal_states(mdp))
         for s in range(mdp.num_states):
             for a in range(mdp.num_actions):
-                lines.append(f"q_learning,{s},{a},{ql[s, a]!r}")
+                lines.append(f"q_learning,{s},{a},{float(ql[s, a])!r}")
         lines.append("# q-learning greedy policy: " +
                      " ".join(str(int(a)) for a in ql_greedy.actions()))
     lines.append("# value-iteration greedy policy: " +

@@ -227,6 +227,15 @@ class TestCli:
         assert "# value-iteration greedy policy:" in out
         assert "# exhaustive policy:" in out
 
+    def test_oracle_value_cells_are_plain_floats(self, capsys):
+        assert main(["oracle", "--hallway", "5", "--gamma", "0.9", "--qlearning",
+                     "--episodes", "100"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]
+                if not line.startswith("#")]
+        assert {row[0] for row in rows} == {"value_iteration", "q_learning"}
+        for row in rows:
+            float(row[3])
+
     def test_oracle_qlearning_flags(self, capsys):
         code = main(["oracle", "--hallway", "5", "--gamma", "0.9", "--qlearning",
                      "--episodes", "500", "--seed", "2"])
