@@ -14,18 +14,17 @@ import json
 import math
 import sys
 
-from .anneal import (AnnealSchedule, default_beta_range, simulated_anneal,
-                     success_probability)
+from .anneal import exhaustive_ground_state, success_probability
 from .compiler import CompilerConfig, compile_hamiltonian
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import InstanceTooLargeError
-from .experiments import (ExperimentConfig, prepare, run_k_heatmap,
+from .experiments import (ExperimentConfig, _anneal, _write, prepare, run_k_heatmap,
                           run_oracle_compare, run_resources, run_solve,
                           run_tts_sweep)
-from .mdp import (Mdp, ParseError, PolicyAssignment, ValidationError, build_hallway,
-                  load_mdp, terminal_states, validate)
-from .pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
-from .quadratize import consistency_violations, project, quadratize, to_qubo_text
+from .mdp import (Mdp, ParseError, ValidationError, build_hallway, load_mdp,
+                  terminal_states, validate)
+from .pseudoboolean import PseudoBooleanPolynomial
+from .quadratize import consistency_violations, quadratize, to_qubo_text
 
 _CONFIG_LIST_KEYS = {"sizes": int, "gammas": float, "sweep_grid": int}
 _CONFIG_SCALAR_KEYS = {
@@ -85,13 +84,8 @@ def _load_instance(args) -> Mdp:
 
 
 def _emit(args, text: str, filename: str) -> None:
-    if getattr(args, "out", None):
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, filename)
-        with open(path, "w") as fh:
-            fh.write(text)
+    path = _write(args.out, filename, text)
+    if path:
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
@@ -115,12 +109,12 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _prepare(args):
-    """The instance flags' MDP compiled at --truncation and reduced with --m-or."""
-    return prepare(_load_instance(args),
-                   ExperimentConfig(truncation=args.truncation,
-                                    penalty_strength=args.penalty,
-                                    reduction_penalty=args.m_or))
+def _prepare(args, **fields):
+    """The instance flags' MDP compiled at --truncation and reduced with --m-or,
+    and the config that did it (``fields`` set its other values)."""
+    config = ExperimentConfig(truncation=args.truncation, penalty_strength=args.penalty,
+                              reduction_penalty=args.m_or, **fields)
+    return prepare(_load_instance(args), config), config
 
 
 def _cmd_quadratize(args) -> int:
@@ -129,7 +123,7 @@ def _cmd_quadratize(args) -> int:
             poly = PseudoBooleanPolynomial.from_text(fh.read())
         qubo = quadratize(poly, args.m_or, num_variables=poly.num_variables)
     else:
-        qubo = _prepare(args).qubo
+        qubo = _prepare(args)[0].qubo
     print(f"variables={qubo.num_variables} ancillas={qubo.registry.num_ancillas} "
           f"terms={len(qubo.polynomial)}")
     _emit(args, to_qubo_text(qubo), "problem.qubo")
@@ -140,56 +134,50 @@ def _cmd_anneal(args) -> int:
     if (args.beta_start is None) != (args.beta_end is None):
         missing = "--beta-start" if args.beta_start is None else "--beta-end"
         raise ValueError(f"{missing} is missing: give both beta flags or neither")
-    inst = _prepare(args)
-    mdp, ham, qubo = inst.mdp, inst.ham, inst.qubo
-    if args.beta_start is None:
-        beta0, beta1 = default_beta_range(qubo.polynomial)
-    else:
-        beta0, beta1 = args.beta_start, args.beta_end
-    schedule = AnnealSchedule(args.sweeps, beta0, beta1, num_reads=args.reads,
-                              rng_seed=args.seed or 0)
-    reads = simulated_anneal(qubo.polynomial, schedule,
-                             num_variables=qubo.num_variables)
-    ground = float(all_assignment_energies(ham.polynomial, ham.num_variables).min())
+    inst, config = _prepare(args, num_sweeps=args.sweeps, num_reads=args.reads,
+                            seed=args.seed or 0)
+    _, ground = exhaustive_ground_state(inst.ham.polynomial, inst.ham.num_variables)
+    betas = None if args.beta_start is None else (args.beta_start, args.beta_end)
+    schedule, reads, _ = _anneal(inst, config, betas)
     p_s, p_err = success_probability(reads, ground)
     lines = ["read,energy,feasible,consistent,policy_bits"]
     for i, read in enumerate(reads):
-        pol = PolicyAssignment(project(read.assignment, qubo.registry),
-                               mdp.num_states, mdp.num_actions)
+        pol = inst.policy(read.assignment)
         bits = "".join(str(int(b)) for b in pol.bits)
         lines.append(f"{i},{read.energy!r},{int(pol.is_feasible())},"
-                     f"{int(consistency_violations(read.assignment, qubo.registry) == 0)},"
+                     f"{int(not consistency_violations(read.assignment, inst.qubo.registry))},"
                      f"{bits}")
     lines.append(f"# summary: reads={args.reads} sweeps={args.sweeps} "
-                 f"beta=[{beta0!r},{beta1!r}] ground_energy={ground!r} "
-                 f"p_s={p_s!r} stderr={p_err!r}")
+                 f"beta=[{schedule.beta_start!r},{schedule.beta_end!r}] "
+                 f"ground_energy={ground!r} p_s={p_s!r} stderr={p_err!r}")
     _emit(args, "\n".join(lines) + "\n", "anneal.csv")
     return 0
 
 
+def _q_rows(method: str, q) -> list[str]:
+    return [f"{method},{s},{a},{float(q[s, a])!r}"
+            for s in range(q.shape[0]) for a in range(q.shape[1])]
+
+
+def _policy_line(label: str, policy) -> str:
+    return f"# {label} policy: " + " ".join(str(int(a)) for a in policy.actions())
+
+
 def _cmd_oracle(args) -> int:
     mdp = _load_instance(args)
-    lines = ["method,state,action,value"]
     q, greedy = value_iteration(mdp)
-    for s in range(mdp.num_states):
-        for a in range(mdp.num_actions):
-            lines.append(f"value_iteration,{s},{a},{float(q[s, a])!r}")
+    lines = ["method,state,action,value"] + _q_rows("value_iteration", q)
     if args.exhaustive:
         best, total, ties = best_policy_exhaustive(mdp)
         lines.append(f"# exhaustive best action-value sum: {total!r} ties: {len(ties)}")
-        lines.append("# exhaustive policy: " +
-                     " ".join(str(int(a)) for a in best.actions()))
+        lines.append(_policy_line("exhaustive", best))
     if args.qlearning:
         cfg = QLearningConfig(learning_rate=args.alpha, epsilon=args.epsilon,
                               num_episodes=args.episodes, rng_seed=args.seed or 0)
         ql, ql_greedy = q_learning(mdp, cfg, terminal=terminal_states(mdp))
-        for s in range(mdp.num_states):
-            for a in range(mdp.num_actions):
-                lines.append(f"q_learning,{s},{a},{float(ql[s, a])!r}")
-        lines.append("# q-learning greedy policy: " +
-                     " ".join(str(int(a)) for a in ql_greedy.actions()))
-    lines.append("# value-iteration greedy policy: " +
-                 " ".join(str(int(a)) for a in greedy.actions()))
+        lines += _q_rows("q_learning", ql)
+        lines.append(_policy_line("q-learning greedy", ql_greedy))
+    lines.append(_policy_line("value-iteration greedy", greedy))
     _emit(args, "\n".join(lines) + "\n", "oracle.csv")
     return 0
 
@@ -258,48 +246,36 @@ def main(argv: list[str] | None = None) -> int:
     _add_instance_flags(p)
     p.set_defaults(func=_cmd_validate)
 
-    for name in ("solve", "oracle-compare"):
-        p = sub.add_parser(name, help=f"run the {name} pipeline on one instance")
+    for name in ("solve", "oracle-compare", "k-heatmap", "tts-sweep", "resources"):
+        single = name in ("solve", "oracle-compare")
+        p = sub.add_parser(name, help=f"run the {name} pipeline on one instance" if single
+                           else f"run the {name} grid experiment")
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--num-states", type=int, default=6)
-        p.add_argument("--gamma", type=float, default=0.99)
+        if single:
+            p.add_argument("--num-states", type=int, default=6)
+            p.add_argument("--gamma", type=float, default=0.99)
+            p.add_argument("--num-sweeps", type=int, dest="num_sweeps")
+        else:
+            p.add_argument("--sizes", type=int, nargs="+")
+            p.add_argument("--gammas", type=float, nargs="+")
+            p.add_argument("--k-max", type=int, dest="k_max")
+            p.add_argument("--sweep-grid", type=int, nargs="+", dest="sweep_grid")
         p.add_argument("--truncation", type=int)
         p.add_argument("--penalty-strength", type=float, dest="penalty_strength")
         p.add_argument("--reduction-penalty", type=float, dest="reduction_penalty")
-        p.add_argument("--num-sweeps", type=int, dest="num_sweeps")
         p.add_argument("--num-reads", type=int, dest="num_reads")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
-        p.set_defaults(func=_cmd_single, experiment_name=name)
-
-    for name in ("k-heatmap", "tts-sweep", "resources"):
-        p = sub.add_parser(name, help=f"run the {name} grid experiment")
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--sizes", type=int, nargs="+")
-        p.add_argument("--gammas", type=float, nargs="+")
-        p.add_argument("--truncation", type=int)
-        p.add_argument("--k-max", type=int, dest="k_max")
-        p.add_argument("--penalty-strength", type=float, dest="penalty_strength")
-        p.add_argument("--reduction-penalty", type=float, dest="reduction_penalty")
-        p.add_argument("--num-reads", type=int, dest="num_reads")
-        p.add_argument("--sweep-grid", type=int, nargs="+", dest="sweep_grid")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.set_defaults(func=_cmd_grid, experiment_name=name)
+        p.set_defaults(func=_cmd_single if single else _cmd_grid, experiment_name=name)
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except InstanceTooLargeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:
+        # ValidationError and ParseError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,6 @@ from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import InstanceTooLargeError
 from .mdp import Mdp, PolicyAssignment, build_hallway, terminal_states
-from .pseudoboolean import all_assignment_energies
 from .quadratize import QuboProblem, consistency_violations, project, quadratize
 from .resources import count_resources
 
@@ -64,8 +63,9 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
-def _interior(policy: PolicyAssignment) -> list[int]:
-    return [int(a) for a in policy.interior_actions()]
+def _interior(policy: PolicyAssignment) -> list[int] | None:
+    """Interior actions of a policy; None for an infeasible assignment."""
+    return [int(a) for a in policy.interior_actions()] if policy.is_feasible() else None
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,11 @@ class Instance:
     truncation: int
     ham: CompiledHamiltonian
     qubo: QuboProblem
+
+    def policy(self, assignment) -> PolicyAssignment:
+        """The policy bits of a full QUBO assignment."""
+        return PolicyAssignment(project(assignment, self.qubo.registry),
+                                self.mdp.num_states, self.mdp.num_actions)
 
 
 def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance | None:
@@ -103,26 +108,28 @@ def _grid(config: ExperimentConfig) -> Iterator[tuple[int, float]]:
             yield size, gamma
 
 
-def _anneal(inst: Instance, config: ExperimentConfig
-            ) -> tuple[AnnealSchedule, list[SaRead], SaRead, PolicyAssignment]:
-    """SA on the QUBO: schedule, reads, lowest-energy read and its policy."""
-    beta0, beta1 = default_beta_range(inst.qubo.polynomial)
+def _anneal(inst: Instance, config: ExperimentConfig,
+            betas: tuple[float, float] | None = None
+            ) -> tuple[AnnealSchedule, list[SaRead], SaRead]:
+    """SA on the QUBO: schedule, reads and lowest-energy read.  ``betas`` is the
+    (start, end) ramp; the QUBO's ``default_beta_range`` when None."""
+    beta0, beta1 = betas or default_beta_range(inst.qubo.polynomial)
     schedule = AnnealSchedule(config.num_sweeps, beta0, beta1,
                               num_reads=config.num_reads, rng_seed=config.seed)
     reads = simulated_anneal(inst.qubo.polynomial, schedule,
                              num_variables=inst.qubo.num_variables)
-    best = min(reads, key=lambda r: r.energy)
-    best_policy = PolicyAssignment(project(best.assignment, inst.qubo.registry),
-                                   inst.mdp.num_states, inst.mdp.num_actions)
-    return schedule, reads, best, best_policy
+    return schedule, reads, min(reads, key=lambda r: r.energy)
 
 
-def _write(out_dir: str | None, filename: str, text: str) -> None:
+def _write(out_dir: str | None, filename: str, text: str) -> str | None:
+    """Write to ``out_dir/filename`` and return the path; None without a directory."""
     if out_dir is None:
-        return
+        return None
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, filename), "w") as fh:
+    path = os.path.join(out_dir, filename)
+    with open(path, "w") as fh:
         fh.write(text)
+    return path
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -152,10 +159,9 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
 
     minimizers, ground = exhaustive_ground_state(ham.polynomial, ham.num_variables)
     policies = [PolicyAssignment(m, num_states, mdp.num_actions) for m in minimizers]
-    all_feasible = all(p.is_feasible() for p in policies)
-    agreement = all_feasible and all(_interior(p) == vi_interior for p in policies)
 
-    schedule, reads, best, best_policy = _anneal(inst, config)
+    schedule, reads, best = _anneal(inst, config)
+    best_policy = inst.policy(best.assignment)
     if config.match_rule == "energy":
         p_s, p_err = success_probability(reads, ground)
     else:
@@ -180,9 +186,9 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
         "oracle": {"vi_interior": vi_interior},
         "exhaustive": {"ground_energy": ground,
                        "num_minimizers": len(minimizers),
-                       "all_feasible": all_feasible,
-                       "interior": _interior(policies[0]) if policies[0].is_feasible() else None,
-                       "agreement": bool(agreement)},
+                       "all_feasible": all(p.is_feasible() for p in policies),
+                       "interior": _interior(policies[0]),
+                       "agreement": all(_interior(p) == vi_interior for p in policies)},
         "sa": {"num_reads": config.num_reads, "num_sweeps": config.num_sweeps,
                "beta_start": schedule.beta_start, "beta_end": schedule.beta_end,
                "best_energy": best.energy,
@@ -190,7 +196,7 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
                "best_feasible": best_policy.is_feasible(),
                "best_consistency_violations":
                    consistency_violations(best.assignment, qubo.registry),
-               "best_interior": _interior(best_policy) if best_policy.is_feasible() else None,
+               "best_interior": _interior(best_policy),
                "success_probability": p_s,
                "success_std_error": p_err},
     }
@@ -227,21 +233,22 @@ def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
     """Sweep-count scan per instance, reporting TTS rows and the optimum.
 
     A cell with no qualifying K is marked ``no-truncation``, one too large
-    for the K search ``unavailable: <reason>``; neither gets TTS rows.
+    for the K search or the exhaustive ground state ``unavailable: <reason>``;
+    neither gets TTS rows.
     """
     out: list[dict] = []
     for size, gamma in _grid(config):
         try:
             inst = prepare(build_hallway(size, gamma, config.slip), config)
+            if inst is None:
+                out.append({"num_states": size, "gamma": gamma, "status": "no-truncation"})
+                continue
+            ham, qubo = inst.ham, inst.qubo
+            # ground energy of the QUBO equals the unreduced minimum
+            ground = exhaustive_ground_state(ham.polynomial, ham.num_variables)[1]
         except InstanceTooLargeError as e:
             out.append({"num_states": size, "gamma": gamma, "status": f"unavailable: {e}"})
             continue
-        if inst is None:
-            out.append({"num_states": size, "gamma": gamma, "status": "no-truncation"})
-            continue
-        ham, qubo = inst.ham, inst.qubo
-        # ground energy of the QUBO equals the unreduced minimum
-        ground = float(all_assignment_energies(ham.polynomial, ham.num_variables).min())
         result = tts_sweep(qubo.polynomial, ground, config.sweep_grid,
                            config.num_reads, config.desired_probability,
                            rng_seed=config.seed, num_variables=qubo.num_variables)
@@ -317,11 +324,7 @@ def run_oracle_compare(config: ExperimentConfig, num_states: int, gamma: float) 
 
     minimizers, ground = exhaustive_ground_state(inst.ham.polynomial,
                                                  inst.ham.num_variables)
-    gs_policy = PolicyAssignment(minimizers[0], num_states, mdp.num_actions)
-    ham_interior = _interior(gs_policy) if gs_policy.is_feasible() else None
-
-    _, _, best, sa_policy = _anneal(inst, config)
-    sa_interior = _interior(sa_policy) if sa_policy.is_feasible() else None
+    _, _, best = _anneal(inst, config)
 
     terminals = terminal_states(mdp)
     q_hits = 0
@@ -336,8 +339,9 @@ def run_oracle_compare(config: ExperimentConfig, num_states: int, gamma: float) 
     columns = {
         "value_iteration": vi,
         "exhaustive_policy_search": exhaustive_dp,
-        "hamiltonian_ground_state": ham_interior,
-        "simulated_annealing": sa_interior,
+        "hamiltonian_ground_state": _interior(
+            PolicyAssignment(minimizers[0], num_states, mdp.num_actions)),
+        "simulated_annealing": _interior(inst.policy(best.assignment)),
     }
     agreement = {
         f"{a}|{b}": (columns[a] is not None and columns[a] == columns[b])

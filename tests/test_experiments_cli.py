@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from mdpspin import compiler
+from mdpspin import compiler, experiments
 from mdpspin.anneal import AnnealSchedule, simulated_anneal
 from mdpspin.cli import main, parse_config_file
 from mdpspin.compiler import minimal_truncation_order
@@ -310,6 +310,27 @@ class TestCli:
             assert "|S|=13 gamma=0.6: unavailable: 26 policy bits" in out
         else:
             assert "|S|=13" not in out
+
+    def test_grid_marks_a_cell_too_large_for_the_exhaustive_ground_state(self, tmp_path,
+                                                                         capsys):
+        # 13 states at a fixed K: 26 polynomial variables exceed the cap of 24
+        assert main(["tts-sweep", "--sizes", "4", "13", "--gammas", "0.6",
+                     "--truncation", "1", "--num-reads", "5", "--sweep-grid", "1",
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "tts_sweep.csv").read_text().splitlines()[1:]
+        assert rows and all(row.startswith("4,0.6,") for row in rows)
+        assert ("|S|=13 gamma=0.6: unavailable: 26 variables exceed the exhaustive "
+                "limit of 24") in capsys.readouterr().out
+
+    def test_anneal_refuses_past_the_exhaustive_limit_before_annealing(self, monkeypatch,
+                                                                       capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("annealed before the ground-state check")
+
+        monkeypatch.setattr(experiments, "simulated_anneal", fail)
+        assert main(["anneal", "--hallway", "13", "--gamma", "0.6", "--truncation", "1",
+                     "--reads", "2", "--sweeps", "1"]) == 3
+        assert "exhaustive limit of 24" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["solve", "oracle-compare"])
     def test_single_instance_too_large_for_the_k_search_exits_3(self, command, capsys):
