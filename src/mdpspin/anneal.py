@@ -3,8 +3,15 @@
 Exhaustive search and the Metropolis annealer both read a polynomial of any
 degree through its ``TermTable``: the search scans every assignment as one
 product between two halves' term activities, and the annealer advances all
-reads in lockstep with a per-read count of each term's zero variables.  Time
-to solution follows the standard repeated-trial formula
+reads in lockstep with a per-read count of each term's zero variables.  The
+annealer's state is term-major, one row per term or variable and one column
+per read, and a sweep updates one dependency level of variables per numpy
+step.  The levels come from a plan built once per call: variables that share
+a term of any degree are neighbours, and a variable's level is one more than
+the highest level among its earlier-index neighbours.  A level's variables
+thus share no term and see every earlier neighbour already updated, so the
+level sweep is the index-order sweep, read for read.  Time to solution
+follows the standard repeated-trial formula
 
     TTS(t) = t * ln(1 - p_d) / ln(1 - p_s)
 
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,41 +77,93 @@ class SaRead:
     energy: float
 
 
+class _Level(NamedTuple):
+    """One dependency level of the sweep: its variables, the concatenated ids
+    of their terms, the position in ``variables`` that owns each term and the
+    (variables, terms) block holding each term's coefficient in its owner's row."""
+
+    variables: np.ndarray
+    terms: np.ndarray
+    owner: np.ndarray
+    coeffs: np.ndarray
+
+
+def _level_plan(table: TermTable) -> list[_Level]:
+    """Group the variables into dependency levels for the sweep.
+
+    Two variables are neighbours when they share a term of any degree.  A
+    variable's level is one more than the highest level among its
+    earlier-index neighbours (0 when it has none), so no two variables of a
+    level share a term and every earlier neighbour of a variable sits in a
+    lower level.  ``top[t]`` is the highest level assigned so far to a
+    variable of term t.
+    """
+    var_terms = [np.flatnonzero(row) for row in table.incidence]
+    level = np.zeros(len(var_terms), dtype=np.intp)
+    top = np.full(table.coeffs.size, -1, dtype=np.intp)
+    for v, ts in enumerate(var_terms):
+        level[v] = top[ts].max(initial=-1) + 1
+        top[ts] = level[v]
+    plan = []
+    for lvl in range(level.max(initial=-1) + 1):
+        variables = np.flatnonzero(level == lvl)
+        counts = [var_terms[v].size for v in variables]
+        terms = np.concatenate([var_terms[v] for v in variables])
+        owner = np.repeat(np.arange(variables.size), counts)
+        coeffs = np.zeros((variables.size, terms.size))
+        coeffs[owner, np.arange(terms.size)] = table.coeffs[terms]
+        plan.append(_Level(variables, terms, owner, coeffs))
+    return plan
+
+
 def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
                      num_variables: int | None = None,
                      debug_check: bool = False) -> list[SaRead]:
     """Metropolis single-spin-flip annealing, all reads in lockstep.
 
-    The reads are the rows of one (reads, n) array.  Each starts from a random
-    assignment and runs ``num_sweeps`` sweeps at linearly interpolated beta,
-    attempting a flip of every variable per sweep in fixed index order.
-    ``missing[r, t]`` counts the variables of term t that are 0 in read r, so
-    the field of v sums the coefficients of v's terms with
-    ``missing == 1 - x_v``.  One generator seeded with ``rng_seed`` draws the
-    starts, then a (reads, n) block of uniforms per sweep: a run is
-    reproducible from ``(rng_seed, num_reads)``.
+    Each read starts from a random assignment and runs ``num_sweeps`` sweeps at
+    linearly interpolated beta, attempting a flip of every variable per sweep
+    in fixed index order.  The state is term-major: ``x[v, r]`` is variable v
+    in read r and ``missing[t, r]`` counts the variables of term t that are 0
+    in read r, so the field of v sums the coefficients of v's terms with
+    ``missing == 1 - x_v``.  A sweep updates one level of ``_level_plan``
+    per numpy step.  A level's variables share no term and each one's
+    earlier-index neighbours sit in lower levels, so every variable sees the
+    state that the one-variable-at-a-time index-order sweep would show it.
+    One generator seeded with ``rng_seed`` draws the (reads, n) starts, then
+    a (reads, n) block of uniforms per sweep, of which variable v reads
+    column v: a run is reproducible from ``(rng_seed, num_reads)``.
+    ``debug_check`` compares each flip energy of a level with a full
+    re-evaluation at the level's starting state.
     """
     table = TermTable(poly, num_variables)
-    var_terms = [(ts, table.coeffs[ts]) for ts in map(np.flatnonzero, table.incidence)]
+    plan = _level_plan(table)
     rng = np.random.default_rng(schedule.rng_seed)
-    x = rng.integers(0, 2, size=(schedule.num_reads, len(var_terms)), dtype=np.int8)
-    missing = table.sizes - x @ table.incidence
+    n = table.incidence.shape[0]
+    starts = rng.integers(0, 2, size=(schedule.num_reads, n), dtype=np.int8)
+    missing = np.ascontiguousarray((table.sizes - table.set_counts(starts)).T)
+    x = np.ascontiguousarray(starts.T)
     for beta in schedule.betas():
-        uniforms = rng.random(x.shape)
-        for v, (ts, coeffs) in enumerate(var_terms):
-            xv = x[:, v]
-            field = (missing[:, ts] == (1 - xv)[:, None]) @ coeffs
-            delta = np.where(xv, -field, field)
+        uniforms = np.ascontiguousarray(rng.random((schedule.num_reads, n)).T)
+        for level in plan:
+            xl = x[level.variables]
+            xo = xl[level.owner]
+            field = level.coeffs @ (missing[level.terms] == 1 - xo)
+            delta = np.where(xl, -field, field)
             if debug_check:
-                flipped = x.copy()
-                flipped[:, v] ^= 1
-                np.testing.assert_allclose(
-                    delta, table.energies(flipped) - table.energies(x), rtol=0, atol=1e-9,
-                    err_msg=f"incremental dE != full re-evaluation for variable {v}")
-            rows = np.flatnonzero(uniforms[:, v] < np.exp(-beta * np.maximum(delta, 0.0)))
-            missing[np.ix_(rows, ts)] += 2 * xv[rows, None] - 1
-            x[rows, v] ^= 1
-    return [SaRead(assignment=a, energy=float(e)) for a, e in zip(x, table.energies(x))]
+                # the level's variables share no term: each delta is a single flip's
+                base = table.energies(x.T)
+                for i, v in enumerate(level.variables):
+                    flipped = x.copy()
+                    flipped[v] ^= 1
+                    np.testing.assert_allclose(
+                        delta[i], table.energies(flipped.T) - base, rtol=0, atol=1e-9,
+                        err_msg=f"incremental dE != full re-evaluation for variable {v}")
+            accept = uniforms[level.variables] < np.exp(-beta * np.maximum(delta, 0.0))
+            missing[level.terms] += (2 * xo - 1) * accept[level.owner]
+            x[level.variables] ^= accept
+    reads = np.ascontiguousarray(x.T)
+    return [SaRead(assignment=a, energy=float(e)) for a, e in zip(reads, table.energies(reads))]
 
 
 def exhaustive_ground_state(poly: PseudoBooleanPolynomial,

@@ -149,9 +149,19 @@ class TermTable:
         cols = np.repeat(np.arange(len(monos)), self.sizes)
         self.incidence[[v for mono in monos for v in mono], cols] = 1
 
+    def set_counts(self, assignments) -> np.ndarray:
+        """Each 0/1 row's count of set variables in every term.
+
+        The product runs in float32, which is exact: every partial sum is an
+        integer no larger than a term's degree.  It is many times faster than
+        numpy's integer matmul, which does not use BLAS.
+        """
+        counts = np.asarray(assignments, np.float32) @ self.incidence.astype(np.float32)
+        return counts.astype(self.sizes.dtype)
+
     def energies(self, assignments) -> np.ndarray:
         """Energy of each 0/1 row of ``assignments`` (a single row gives a scalar)."""
-        return ((np.asarray(assignments) @ self.incidence) == self.sizes) @ self.coeffs
+        return (self.set_counts(assignments) == self.sizes) @ self.coeffs
 
 
 def bit_rows(indices, num_variables: int) -> np.ndarray:

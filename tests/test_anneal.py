@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mdpspin.anneal import (AnnealSchedule, default_beta_range, exhaustive_ground_state,
-                            simulated_anneal, success_probability, tts, tts_std_error,
-                            tts_sweep)
+from mdpspin.anneal import (AnnealSchedule, SaRead, _level_plan, default_beta_range,
+                            exhaustive_ground_state, simulated_anneal, success_probability,
+                            tts, tts_std_error, tts_sweep)
 from mdpspin.compiler import CompilerConfig, compile_hamiltonian
 from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, policy_rows
-from mdpspin.pseudoboolean import PseudoBooleanPolynomial
+from mdpspin.pseudoboolean import PseudoBooleanPolynomial, TermTable
 from mdpspin.quadratize import quadratize
 
 
@@ -93,6 +93,14 @@ class TestSimulatedAnneal:
         simulated_anneal(qubo.polynomial, schedule, num_variables=qubo.num_variables,
                          debug_check=True)
 
+    def test_incremental_delta_matches_full_reevaluation_on_native_degree_three(self):
+        ham = compile_hamiltonian(build_hallway(6, 0.99), CompilerConfig(3, 3.0))
+        assert ham.polynomial.degree() == 3
+        b0, b1 = default_beta_range(ham.polynomial)
+        schedule = AnnealSchedule(3, b0, b1, num_reads=6, rng_seed=2)
+        simulated_anneal(ham.polynomial, schedule, num_variables=ham.num_variables,
+                         debug_check=True)
+
     def test_detailed_balance_two_variable_boltzmann(self):
         # fixed beta, long chain: final-state frequencies follow the Gibbs law
         poly = PseudoBooleanPolynomial(2)
@@ -112,6 +120,105 @@ class TestSimulatedAnneal:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         # 3-sigma-equivalent critical value for 3 degrees of freedom
         assert chi2 < 14.16
+
+
+def reference_anneal(poly, schedule, num_variables=None):
+    """The one-variable-per-step index-order sweep that the level sweep replaced."""
+    table = TermTable(poly, num_variables)
+    var_terms = [(ts, table.coeffs[ts]) for ts in map(np.flatnonzero, table.incidence)]
+    rng = np.random.default_rng(schedule.rng_seed)
+    x = rng.integers(0, 2, size=(schedule.num_reads, len(var_terms)), dtype=np.int8)
+    missing = table.sizes - x @ table.incidence
+    for beta in schedule.betas():
+        uniforms = rng.random(x.shape)
+        for v, (ts, coeffs) in enumerate(var_terms):
+            xv = x[:, v]
+            field = (missing[:, ts] == (1 - xv)[:, None]) @ coeffs
+            delta = np.where(xv, -field, field)
+            rows = np.flatnonzero(uniforms[:, v] < np.exp(-beta * np.maximum(delta, 0.0)))
+            missing[np.ix_(rows, ts)] += 2 * xv[rows, None] - 1
+            x[rows, v] ^= 1
+    return [SaRead(assignment=a, energy=float(e)) for a, e in zip(x, table.energies(x))]
+
+
+def assert_same_reads(got, expected):
+    assert len(got) == len(expected)
+    assert [r.assignment.tobytes() for r in got] == [r.assignment.tobytes() for r in expected]
+    assert [r.energy for r in got] == [r.energy for r in expected]
+
+
+@st.composite
+def integer_polynomials(draw):
+    """Degree 1-4 terms with integer coefficients, so every field sum is exact
+    in any order, over a variable count that may exceed the span."""
+    span = draw(st.integers(1, 9))
+    poly = PseudoBooleanPolynomial(span)
+    for _ in range(draw(st.integers(1, 14))):
+        mono = draw(st.lists(st.integers(0, span - 1), min_size=1, max_size=4))
+        poly.add_term(mono, draw(st.integers(-6, 6)))
+    return poly, poly.num_variables + draw(st.integers(0, 3))
+
+
+class TestLevelSweep:
+    @given(integer_polynomials(), st.integers(0, 2 ** 32 - 1), st.integers(1, 7),
+           st.integers(1, 5), st.floats(0.05, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_index_order_sweep(self, case, seed, num_reads, num_sweeps, beta):
+        poly, n = case
+        schedule = AnnealSchedule(num_sweeps, beta, 2 * beta, num_reads=num_reads,
+                                  rng_seed=seed)
+        assert_same_reads(simulated_anneal(poly, schedule, num_variables=n),
+                          reference_anneal(poly, schedule, num_variables=n))
+
+    @pytest.mark.parametrize("size,gamma,order", [(6, 0.99, 3), (10, 0.9, 5)])
+    def test_matches_the_index_order_sweep_on_hallway_qubos(self, size, gamma, order):
+        ham = compile_hamiltonian(build_hallway(size, gamma), CompilerConfig(order, 3.0))
+        qubo = quadratize(ham.polynomial, 5.0, num_variables=ham.num_variables)
+        b0, b1 = default_beta_range(qubo.polynomial)
+        for seed in range(3):
+            schedule = AnnealSchedule(8, b0, b1, num_reads=30, rng_seed=seed)
+            assert_same_reads(
+                simulated_anneal(qubo.polynomial, schedule, num_variables=qubo.num_variables),
+                reference_anneal(qubo.polynomial, schedule, num_variables=qubo.num_variables))
+
+    @given(integer_polynomials())
+    @settings(max_examples=60, deadline=None)
+    def test_level_plan_orders_every_dependency(self, case):
+        poly, n = case
+        table = TermTable(poly, n)
+        plan = _level_plan(table)
+        level = np.full(n, -1)
+        for lvl, step in enumerate(plan):
+            assert (level[step.variables] == -1).all()
+            level[step.variables] = lvl
+            # no two variables of a level share a term
+            assert np.unique(step.terms).size == step.terms.size
+            for i, v in enumerate(step.variables):
+                own = step.terms[step.owner == i]
+                np.testing.assert_array_equal(own, np.flatnonzero(table.incidence[v]))
+                np.testing.assert_array_equal(step.coeffs[i, step.owner == i],
+                                              table.coeffs[own])
+                assert not step.coeffs[i, step.owner != i].any()
+        assert (level >= 0).all()
+        shared = table.incidence.astype(int) @ table.incidence.T.astype(int) > 0
+        for v in range(n):
+            earlier = np.flatnonzero(shared[v, :v])
+            assert (level[earlier] < level[v]).all()
+
+    def test_constant_only_polynomial(self):
+        poly = PseudoBooleanPolynomial(0, {(): 1.5})
+        schedule = AnnealSchedule(3, 0.1, 1.0, num_reads=4, rng_seed=0)
+        reads = simulated_anneal(poly, schedule)
+        assert [(r.assignment.shape, r.energy) for r in reads] == [((0,), 1.5)] * 4
+        assert_same_reads(reads, reference_anneal(poly, schedule))
+
+    def test_variables_in_no_term(self):
+        # variables 0 and 2-4 occur in no term: every flip of theirs is accepted
+        poly = PseudoBooleanPolynomial(0, {(1,): -1.0})
+        schedule = AnnealSchedule(3, 0.1, 1.0, num_reads=6, rng_seed=0)
+        reads = simulated_anneal(poly, schedule, num_variables=5)
+        assert_same_reads(reads, reference_anneal(poly, schedule, num_variables=5))
+        assert [r.energy for r in reads] == [-float(r.assignment[1]) for r in reads]
 
 
 class TestSuccessProbability:
