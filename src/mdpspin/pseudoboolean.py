@@ -7,6 +7,9 @@ DROP_TOL in magnitude are discarded to keep the term map from accumulating
 floating-point dust.  ``TermTable`` is the array form that the evaluator,
 dense enumeration and the annealer share; ``bit_rows`` is the one place that
 knows the enumeration order, in which assignment i has x_v = bit v of i.
+Dense enumeration splits the variables into a low and a high half and sums
+each distinct high-half monomial once, so its one float64 product runs over
+those distinct monomials rather than over all terms.
 """
 
 from __future__ import annotations
@@ -169,19 +172,38 @@ def bit_rows(indices, num_variables: int) -> np.ndarray:
     return ((np.asarray(indices)[:, None] >> np.arange(num_variables)) & 1).astype(np.int8)
 
 
+def _half_on(half: np.ndarray) -> np.ndarray:
+    """(2^k, columns) bool for a (k, columns) incidence: whether assignment i of
+    the k variables (x_v = bit v of i) sets every variable of each column.
+
+    The counts come from a float32 product, exact as in ``TermTable.set_counts``.
+    """
+    k = half.shape[0]
+    counts = bit_rows(np.arange(1 << k), k).astype(np.float32) @ half.astype(np.float32)
+    return counts == half.sum(axis=0)
+
+
 def all_assignment_energies(poly: PseudoBooleanPolynomial,
                             num_variables: int) -> np.ndarray:
     """Energies of all 2^n assignments, assignment i having x_v = bit v of i.
 
-    The variables split into a low half of n // 2 and a high half of the rest;
-    a term is on in a half when all of its variables there are set, so the
-    whole scan is one matrix product between the halves' term activities.
+    The variables split into a low half of n // 2 and a high half of the rest.
+    Terms are grouped by their high-half variable set, and each group's
+    coefficients are folded into ``weights[l, g]``, the sum of c_t over the
+    group's terms t whose low-half variables are all set in low assignment l.
+    The energy of (high h, low l) is then the sum of ``weights[l, g]`` over the
+    groups g whose high-half variables are all set in h: one float64 product
+    whose inner dimension is the number of distinct high-half monomials.
     Intended for n up to ~26 (the full float64 energy vector is returned).
     """
     n = variable_count(poly, num_variables)
     if n > 26:
         raise InstanceTooLargeError(f"{n} variables is too many for dense enumeration")
     table = TermTable(poly, n)
-    lo_on, hi_on = ((bit_rows(np.arange(1 << len(half)), len(half)) @ half) == half.sum(axis=0)
-                    for half in np.split(table.incidence, [n // 2]))
-    return ((hi_on * table.coeffs) @ lo_on.T).reshape(-1)
+    lo, hi = np.split(table.incidence, [n // 2])
+    groups, group_of = np.unique(hi, axis=1, return_inverse=True)
+    group_of = group_of.reshape(-1)  # numpy 2.0.0 shapes it (1, terms)
+    order = np.argsort(group_of, kind="stable")
+    starts = np.searchsorted(group_of[order], np.arange(groups.shape[1]))
+    weights = np.add.reduceat(_half_on(lo[:, order]) * table.coeffs[order], starts, axis=1)
+    return (_half_on(groups) @ weights.T).reshape(-1)

@@ -41,6 +41,27 @@ class TestExhaustive:
                     for row in policy_rows(3, 2, np.arange(8))}
         assert found == expected
 
+    def test_integer_ties_come_back_in_index_order(self):
+        # swapping the variables of a pair (2g, 2g + 1) leaves the polynomial unchanged,
+        # so its minima tie exactly; with integer coefficients every sum is exact
+        rng = np.random.default_rng(5)
+        n = 11
+        poly = PseudoBooleanPolynomial(n)
+        for a in range(0, 8, 2):
+            b = a + 1
+            poly.add_term([a, b], 4).add_term([a], -2).add_term([b], -2).add_term([], 2)
+            for k in rng.choice(np.arange(8, 11), size=2, replace=False):
+                c = int(rng.integers(-2, 3))
+                poly.add_term([a, k], c).add_term([b, k], c).add_term([a, b, k], c)
+        for mono in ([8], [9, 10], [8, 9, 10], [8, 10]):
+            poly.add_term(mono, int(rng.integers(-3, 4)))
+        brute = [sum(c for mono, c in poly.terms.items() if all(i >> v & 1 for v in mono))
+                 for i in range(1 << n)]
+        ties = [i for i, e in enumerate(brute) if e == min(brute)]
+        minimizers, energy = exhaustive_ground_state(poly, n)
+        assert len(ties) > 1 and energy == min(brute)
+        assert [sum(int(x) << v for v, x in enumerate(m)) for m in minimizers] == ties
+
     def test_variable_cap(self):
         poly = PseudoBooleanPolynomial(30).add_term([29], 1.0)
         with pytest.raises(InstanceTooLargeError):

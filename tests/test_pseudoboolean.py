@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 from mdpspin.compiler import CompilerConfig, compile_hamiltonian
 from mdpspin.mdp import build_hallway
 from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, TermTable,
-                                   all_assignment_energies, normalize_monomial)
+                                   all_assignment_energies, bit_rows, normalize_monomial)
 
 
 @st.composite
@@ -202,6 +202,29 @@ def test_all_assignment_energies_split_edge_cases():
     rows = np.array([bits_of(i, 13) for i in range(1 << 13)])
     np.testing.assert_allclose(all_assignment_energies(poly, 13),
                                TermTable(poly, 13).energies(rows), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [13, 15])
+def test_all_assignment_energies_groups_terms_by_high_half(n):
+    # six high-half sets each shared by many terms, terms wholly in either half
+    # and a constant: every row must match the term-by-term evaluation
+    rng = np.random.default_rng(n)
+    low, high = np.arange(n // 2), np.arange(n // 2, n)
+    poly = PseudoBooleanPolynomial(n).add_term([], rng.normal())
+    for _ in range(6):
+        shared = rng.choice(high, size=rng.integers(1, 4), replace=False)
+        for _ in range(12):
+            poly.add_term([*rng.choice(low, size=rng.integers(0, 4), replace=False), *shared],
+                          rng.normal())
+    for _ in range(10):
+        poly.add_term(rng.choice(low, size=rng.integers(1, 4), replace=False), rng.normal())
+    high_parts = {tuple(v for v in mono if v >= n // 2) for mono in poly.terms}
+    assert len(poly.terms) > 8 * len(high_parts)
+    energies = all_assignment_energies(poly, n)
+    atol = 1e-12 * max(1.0, sum(abs(c) for c in poly.terms.values()))
+    np.testing.assert_allclose(energies, TermTable(poly, n).energies(bit_rows(np.arange(1 << n), n)),
+                               rtol=0, atol=atol)
+    assert energies.tobytes() == all_assignment_energies(poly, n).tobytes()
 
 
 def test_all_assignment_energies_peak_memory():
