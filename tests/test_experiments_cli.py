@@ -260,6 +260,21 @@ class TestCli:
         capsys.readouterr()
         assert main(["validate", "--mdp", str(bad)]) == 2
 
+    def test_validate_hallway_prints_valid(self, capsys):
+        assert main(["validate", "--hallway", "6"]) == 0
+        assert capsys.readouterr().out == "valid\n"
+
+    def test_validate_names_every_violation_on_stderr(self, tmp_path, capsys):
+        doc = json.loads(save_mdp(build_hallway(6, 0.9)))
+        doc["transition"][0][0][0] = 2.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", "--mdp", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "outside [0, 1]" in err and "row sums to" in err
+
     def test_exit_code_2_on_parse_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{oops")

@@ -55,7 +55,7 @@ def test_hallway_rejects_bad_arguments():
         build_hallway(3, 0.9)
     with pytest.raises(ValueError):
         build_hallway(6, 0.9, slip=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="discount 1.0 outside"):
         build_hallway(6, 1.0)
 
 
