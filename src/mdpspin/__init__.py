@@ -16,8 +16,7 @@ from .dp import (QLearningConfig, bellman_residual, best_policy_exhaustive,
                  policy_evaluation_exact, q_learning, value_iteration)
 from .errors import InstanceTooLargeError
 from .mdp import (Mdp, ParseError, PolicyAssignment, ValidationError, build_hallway,
-                  flat_index, load_mdp, save_mdp, terminal_states, unflatten_index,
-                  validate)
+                  flat_index, load_mdp, save_mdp, terminal_states, unflatten_index)
 from .pseudoboolean import (Monomial, PseudoBooleanPolynomial, all_assignment_energies,
                             normalize_monomial)
 from .quadratize import (AncillaRegistry, QuboProblem, consistency_violations, lift,

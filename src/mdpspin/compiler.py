@@ -27,9 +27,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .anneal import EXHAUSTIVE_MAX_VARIABLES
 from .dp import value_iteration
 from .errors import InstanceTooLargeError
-from .mdp import Mdp, PolicyAssignment, ValidationError, flat_index, policy_rows, validate
+from .mdp import Mdp, PolicyAssignment, flat_index, policy_rows
 from .pseudoboolean import PseudoBooleanPolynomial
 
 UNIQUENESS_GAP = 1e-9
@@ -116,10 +117,6 @@ def compile_hamiltonian(mdp: Mdp, config: CompilerConfig) -> CompiledHamiltonian
     states; the check follows each extended state, so it overshoots by at
     most one state's |S||A| successors.
     """
-    violations = validate(mdp)
-    if violations:
-        raise ValidationError(violations)
-
     P = mdp.transition
     na = mdp.num_actions
     er = mdp.expected_reward()
@@ -200,8 +197,6 @@ def truncated_q_table(mdp: Mdp, policy: PolicyAssignment, order: int) -> np.ndar
     at a policy's bit vector equals minus the sum of this table (plus the
     constant offset).
     """
-    if not policy.is_feasible():
-        raise ValueError("truncated action values require a feasible policy")
     if order < 0:
         raise ValueError("order must be >= 0")
     rollout = _rollout(mdp, policy.actions()[None, :])
@@ -226,16 +221,11 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
     qualifies.  Just past a discount at which the optimal policy changes, the
     least qualifying K rises sharply, because the ground state must resolve a
     vanishing Q-gap between the two policies.  Raises InstanceTooLargeError
-    above 24 state-action pairs (the exhaustive-search limit) and
-    ValidationError on an invalid model.
+    above EXHAUSTIVE_MAX_VARIABLES state-action pairs.
     """
-    if mdp.num_pairs > 24:
-        raise InstanceTooLargeError(
-            f"{mdp.num_pairs} policy bits exceed the exhaustive-search limit of 24"
-        )
-    violations = validate(mdp)
-    if violations:
-        raise ValidationError(violations)
+    if mdp.num_pairs > EXHAUSTIVE_MAX_VARIABLES:
+        raise InstanceTooLargeError(f"{mdp.num_pairs} policy bits exceed the "
+                                    f"exhaustive-search limit of {EXHAUSTIVE_MAX_VARIABLES}")
     _, greedy = value_iteration(mdp)
     target = greedy.interior_actions()
     actions = policy_rows(mdp.num_states, mdp.num_actions,

@@ -67,8 +67,6 @@ def _exact_q(mdp: Mdp, actions: np.ndarray) -> np.ndarray:
 
 def policy_evaluation_exact(mdp: Mdp, policy: PolicyAssignment) -> np.ndarray:
     """Exact Q^pi by solving the |S x A|-dimensional linear fixed-point system."""
-    if not policy.is_feasible():
-        raise ValueError("exact evaluation requires a feasible policy")
     return _exact_q(mdp, policy.actions()[None])[0]
 
 

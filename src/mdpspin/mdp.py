@@ -40,6 +40,9 @@ class Mdp:
             corresponding transition.
         discount: discount factor in (0, 1).
         name: optional label carried through serialization.
+
+    Raises ValidationError, listing every violation, when the tensors or the
+    discount break this contract.
     """
 
     transition: np.ndarray
@@ -55,6 +58,9 @@ class Mdp:
         r.setflags(write=False)
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "reward", r)
+        violations = _violations(self)
+        if violations:
+            raise ValidationError(violations)
 
     @property
     def num_states(self) -> int:
@@ -141,8 +147,8 @@ class PolicyAssignment:
         return self.actions()[1:-1]
 
 
-def validate(mdp: Mdp) -> list[str]:
-    """Return every contract violation in the model; empty list means valid."""
+def _violations(mdp: Mdp) -> list[str]:
+    """Every contract violation in the model; empty list means valid."""
     out: list[str] = []
     P, R = mdp.transition, mdp.reward
     if P.ndim != 3 or P.shape[0] != P.shape[2]:
@@ -186,8 +192,6 @@ def build_hallway(num_states: int, gamma: float, slip: float = 0.04) -> Mdp:
         raise ValueError("hallway needs at least 4 states (two piles plus interior)")
     if not (0.0 <= slip < 0.5):
         raise ValueError(f"slip {slip} outside [0, 0.5)")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"discount {gamma} outside (0, 1)")
 
     n = num_states
     last = n - 1
@@ -244,7 +248,7 @@ def save_mdp(mdp: Mdp) -> str:
 
 
 def load_mdp(text: str) -> Mdp:
-    """Parse and validate an MDP document; inverse of :func:`save_mdp`."""
+    """Parse an MDP document; inverse of :func:`save_mdp`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -268,8 +272,4 @@ def load_mdp(text: str) -> Mdp:
         raise ParseError(f"field 'reward': shape {R.shape} != ({ns}, {na}, {ns})")
     if not isinstance(doc["discount"], (int, float)):
         raise ParseError("field 'discount': expected a number")
-    mdp = Mdp(P, R, float(doc["discount"]), name=doc.get("name"))
-    violations = validate(mdp)
-    if violations:
-        raise ValidationError(violations)
-    return mdp
+    return Mdp(P, R, float(doc["discount"]), name=doc.get("name"))

@@ -7,11 +7,21 @@ import hypothesis.strategies as st
 
 from mdpspin.mdp import (Mdp, ParseError, PolicyAssignment, ValidationError,
                          build_hallway, flat_index, load_mdp, policy_rows, save_mdp,
-                         unflatten_index, validate)
+                         unflatten_index)
+
+
+def violations(*args) -> list[str]:
+    """Every violation ``Mdp(*args)`` raises; empty when it builds."""
+    try:
+        Mdp(*args)
+    except ValidationError as e:
+        return e.violations
+    return []
 
 
 def test_hallway_passes_validation():
-    assert validate(build_hallway(6, 0.99)) == []
+    mdp = build_hallway(6, 0.99)
+    assert violations(mdp.transition, mdp.reward, mdp.discount) == []
 
 
 def test_hallway_pinned_entries():
@@ -63,17 +73,17 @@ def test_validate_reports_zero_row():
     mdp = build_hallway(6, 0.99)
     P = mdp.transition.copy()
     P[0, 0, :] = 0.0
-    report = validate(Mdp(P, mdp.reward, 0.99))
+    report = violations(P, mdp.reward, 0.99)
     assert len(report) == 1
     assert "P[0][0]" in report[0]
 
 
 def test_validate_reports_bad_discount_and_rewards():
     mdp = build_hallway(6, 0.99)
-    assert any("discount" in v for v in validate(Mdp(mdp.transition, mdp.reward, 1.0)))
+    assert any("discount" in v for v in violations(mdp.transition, mdp.reward, 1.0))
     R = mdp.reward.copy()
     R[1, 0, 0] = np.inf
-    assert any("not finite" in v for v in validate(Mdp(mdp.transition, R, 0.99)))
+    assert any("not finite" in v for v in violations(mdp.transition, R, 0.99))
 
 
 def test_validate_reports_out_of_range_probability():
@@ -81,7 +91,7 @@ def test_validate_reports_out_of_range_probability():
     P[0, 0, 0] = 1.5
     P[0, 0, 1] = -0.5
     P[1, 0, 1] = 1.0
-    report = validate(Mdp(P, np.zeros((2, 1, 2)), 0.9))
+    report = violations(P, np.zeros((2, 1, 2)), 0.9)
     assert sum("outside [0, 1]" in v for v in report) == 2
 
 

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from mdpspin import CompilerConfig, build_hallway, compile_hamiltonian
@@ -242,6 +242,8 @@ def test_weak_gadget_can_undercut_values_but_dips_stay_above_minimum():
 
 
 @given(reducible_polynomials())
+# a coefficient equal to an absolute 1e-9 tolerance put x = 25 on its edge
+@example((PseudoBooleanPolynomial(5).add_term([0, 3, 4], 1e-9), 5))
 @settings(max_examples=30, deadline=None)
 def test_argmin_preservation_with_large_penalty(poly_n):
     poly, n = poly_n
@@ -249,10 +251,15 @@ def test_argmin_preservation_with_large_penalty(poly_n):
     spread = float(direct.max() - direct.min())
     qubo = quadratize(poly, spread + 1.0, num_variables=n)
     energies = all_assignment_energies(qubo.polynomial, qubo.registry.total_variables)
-    tol = 1e-9
-    qubo_argmins = {int(i) % (1 << n) for i in np.flatnonzero(energies <= energies.min() + tol)}
-    original_argmins = {int(i) for i in np.flatnonzero(direct <= direct.min() + tol)}
-    assert qubo_argmins == original_argmins
+    # rounding scales with the coefficients; each side's argmins at tol must
+    # lie among the other's at 2 tol, so no value on the tolerance decides
+    tol = 1e-12 * max(1.0, sum(abs(c) for c in qubo.polynomial.terms.values()))
+
+    def argmins(values, tol):
+        return {int(i) % (1 << n) for i in np.flatnonzero(values <= values.min() + tol)}
+
+    assert argmins(energies, tol) <= argmins(direct, 2 * tol)
+    assert argmins(direct, tol) <= argmins(energies, 2 * tol)
 
 
 @given(reducible_polynomials())
