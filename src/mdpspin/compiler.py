@@ -31,7 +31,7 @@ from .anneal import EXHAUSTIVE_MAX_VARIABLES
 from .dp import value_iteration
 from .errors import InstanceTooLargeError
 from .mdp import Mdp, PolicyAssignment, flat_index, policy_rows
-from .pseudoboolean import PseudoBooleanPolynomial
+from .pseudoboolean import DROP_TOL, PseudoBooleanPolynomial
 
 UNIQUENESS_GAP = 1e-9
 # states of one walk frontier, about 160 B each; two frontiers are alive at once
@@ -107,6 +107,26 @@ def _penalty_polynomial(mdp: Mdp, strength: float) -> PseudoBooleanPolynomial:
     return pen
 
 
+def _mask_polynomial(coeffs: dict[int, float], num_variables: int) -> PseudoBooleanPolynomial:
+    """The polynomial of ``{visited bitmask: coefficient}``, in the dict's order.
+
+    The set bits of a mask, ascending, are its monomial, already sorted and
+    distinct, and no two masks share one, so each term is stored as it is;
+    coefficients within DROP_TOL are dropped as ``add_term`` would.
+    """
+    nbytes = (num_variables + 7) // 8
+    packed = b"".join(visited.to_bytes(nbytes, "little") for visited in coeffs)
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(-1, nbytes),
+                         axis=1, bitorder="little")
+    ids = np.nonzero(bits)[1].tolist()
+    ends = np.cumsum(bits.sum(axis=1)).tolist()
+    poly = PseudoBooleanPolynomial(num_variables)
+    poly.terms = {tuple(ids[start:end]): coeff
+                  for start, end, coeff in zip([0] + ends, ends, coeffs.values())
+                  if abs(coeff) > DROP_TOL}
+    return poly
+
+
 def compile_hamiltonian(mdp: Mdp, config: CompilerConfig) -> CompiledHamiltonian:
     """Sum all nonzero walks up to order K and assemble the cost function.
 
@@ -148,10 +168,7 @@ def compile_hamiltonian(mdp: Mdp, config: CompilerConfig) -> CompiledHamiltonian
                     f"walk frontier passed {FRONTIER_LIMIT} states at order {depth + 1}")
         frontier = nxt
 
-    objective = PseudoBooleanPolynomial(mdp.num_pairs)
-    for visited, coeff in coeffs.items():
-        objective.add_term([v for v, bit in enumerate(bin(visited)[:1:-1]) if bit == "1"],
-                           coeff)
+    objective = _mask_polynomial(coeffs, mdp.num_pairs)
 
     penalty = _penalty_polynomial(mdp, config.penalty_strength)
     offset = -float(er.sum())

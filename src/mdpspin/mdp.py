@@ -259,7 +259,8 @@ def load_mdp(text: str) -> Mdp:
     if missing:
         raise ParseError(f"missing required field(s): {', '.join(missing)}")
     ns, na = doc["num_states"], doc["num_actions"]
-    if not (isinstance(ns, int) and ns > 0 and isinstance(na, int) and na > 0):
+    # JSON true and false load as bools, which are ints to isinstance
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in (ns, na)):
         raise ParseError("num_states and num_actions must be positive integers")
     try:
         P = np.asarray(doc["transition"], dtype=float)
@@ -270,6 +271,6 @@ def load_mdp(text: str) -> Mdp:
         raise ParseError(f"field 'transition': shape {P.shape} != ({ns}, {na}, {ns})")
     if R.shape != (ns, na, ns):
         raise ParseError(f"field 'reward': shape {R.shape} != ({ns}, {na}, {ns})")
-    if not isinstance(doc["discount"], (int, float)):
+    if isinstance(doc["discount"], bool) or not isinstance(doc["discount"], (int, float)):
         raise ParseError("field 'discount': expected a number")
     return Mdp(P, R, float(doc["discount"]), name=doc.get("name"))

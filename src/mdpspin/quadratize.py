@@ -10,10 +10,12 @@ penalty
 which is zero exactly when z = x*y and at least M_OR otherwise.  The rounds
 edit one copy of the input in place and rewrite only the monomials that hold
 the pair; the ancilla is fresh, so a rewritten monomial never meets an
-existing one.  The pair counts are kept up to date, not recounted: an index
-from each pair to the degree >= 3 monomials holding it is built once, and a
-round re-indexes only the monomials it rewrites, so its cost is in
-proportion to them.  Substitution never rewrites degree-2 terms: gadget
+existing one.  The pair counts are kept up to date, not recounted: a dense
+matrix counts, for every two variables, the degree >= 3 monomials holding
+both.  One product of a bool incidence of variables against those monomials
+builds it, and a round corrects only the rows and columns of the pair and
+its ancilla, so its cost is in proportion to the variables and to the
+monomials it rewrites.  Substitution never rewrites degree-2 terms: gadget
 penalties from earlier rounds must survive verbatim or the reduction stops
 being value-preserving.
 """
@@ -21,8 +23,6 @@ being value-preserving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-
 import numpy as np
 
 from .pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies, variable_count
@@ -75,41 +75,87 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = 5.0,
 
     Deterministic given the input, which is left unchanged; a degree <= 2
     input comes back with the same terms and an empty registry.
+
+    ``counts[a, b]`` is the number of degree >= 3 monomials holding both a
+    and b, symmetric with a zero diagonal.  A round takes the first maximum
+    of ``counts`` in row-major order, which is the most frequent pair with
+    ties to the lexicographically smallest: if (a, b), a < b, is that pair,
+    an entry (r, c) before it would make (min(r, c), max(r, c)), r != c, a
+    maximal pair below (a, b).  Each holder of (x, y) takes one count from
+    (u, x) and (u, y) for each of its other variables u, and adds one to
+    (u, z) if it keeps degree >= 3; a holder that falls to degree 2 held one
+    variable besides x and y, so no other pair changes.
+
+    Column j of the incidence stays with one monomial through its rewrites;
+    ``order[j]`` is the monomial's place in the term order, the order in
+    which the holders are rewritten and their rewrites appended.
     """
     if reduction_penalty <= 0:
         raise ValueError("reduction penalty must be positive")
     base = variable_count(poly, num_variables)
     work = poly.copy()
-    work.num_variables = base
+    terms = work.terms
+    # the gadget over x=0, y=1, z=2, less any coefficient within DROP_TOL
+    gadget = list(rosenberg_penalty(0, 1, 2, reduction_penalty).terms.items())
+    monos = [m for m in terms if len(m) >= 3]
+    order = np.arange(len(monos))
+    stamp = len(monos)
+    capacity = base + 1
+    incidence = np.zeros((capacity, len(monos)), dtype=bool)
+    incidence[[v for m in monos for v in m], np.repeat(order, [len(m) for m in monos])] = True
+    counts = np.zeros((capacity, capacity), dtype=np.int32)
+    # the float32 product is exact: every count is below 2^24
+    high = incidence[:base].astype(np.float32)
+    counts[:base, :base] = high @ high.T
+    np.fill_diagonal(counts, 0)
     entries: list[tuple[int, int, int]] = []
-    next_id = base
-    # holders[pair]: the degree >= 3 monomials holding the pair, in term order,
-    # since a monomial enters it when add_term appends it to work.terms
-    holders: dict[tuple[int, int], dict[tuple[int, ...], None]] = {}
-    for mono in [m for m in work.terms if len(m) >= 3]:
-        for pair in combinations(mono, 2):
-            holders.setdefault(pair, {})[mono] = None
-    while holders:
-        top = max(map(len, holders.values()))
-        x, y = min(p for p, h in holders.items() if len(h) == top)
-        z = next_id
-        next_id += 1
+    z = base
+    while True:
+        if z == capacity:
+            grown = np.zeros((2 * capacity, len(monos)), dtype=bool)
+            grown[:capacity] = incidence
+            incidence = grown
+            counts = np.pad(counts, (0, capacity))
+            capacity *= 2
+        # rows from z on are zero; row z keeps the slice nonempty at base 0
+        x, y = divmod(int(counts[:z + 1].argmax()), capacity)
+        if counts[x, y] == 0:
+            break
         entries.append((z, x, y))
 
-        for mono in holders.pop((x, y)):
-            for pair in combinations(mono, 2):
-                if pair != (x, y):
-                    del holders[pair][mono]
-                    if not holders[pair]:
-                        del holders[pair]
-            # z is the largest id so far, so the rewrite stays sorted
-            new = tuple(v for v in mono if v != x and v != y) + (z,)
-            work.add_term(new, work.terms.pop(mono))
-            for pair in combinations(new, 2) if len(new) >= 3 else ():
-                holders.setdefault(pair, {})[new] = None
-        for mono, coeff in rosenberg_penalty(x, y, z, reduction_penalty).terms.items():
-            work.add_term(mono, coeff)
+        cols = np.flatnonzero(incidence[x] & incidence[y])
+        cols = cols[np.argsort(order[cols])]
+        held = incidence[:z, cols]
+        kept = held.sum(axis=0) > 3  # the holders still of degree >= 3 once rewritten
+        lost = held.sum(axis=1, dtype=np.int32)
+        gained = held[:, kept].sum(axis=1, dtype=np.int32)
+        lost[x] = lost[y] = gained[x] = gained[y] = 0
+        for v in (x, y):
+            counts[v, :z] -= lost
+            counts[:z, v] -= lost
+        counts[x, y] = counts[y, x] = 0
+        counts[z, :z] = counts[:z, z] = gained
+        incidence[x, cols] = incidence[y, cols] = False
+        incidence[:z, cols[~kept]] = False
+        incidence[z, cols[kept]] = True
+        for j in cols.tolist():
+            # z is the largest id so far, so the rewrite is sorted and new
+            mono = monos[j]
+            i, k = mono.index(x), mono.index(y)
+            monos[j] = mono[:i] + mono[i + 1:k] + mono[k + 1:] + (z,)
+            terms[monos[j]] = terms.pop(mono)
+        order[cols] = np.arange(stamp, stamp + len(cols))
+        stamp += len(cols)
+        ids = (x, y, z)
+        for mono, coeff in gadget:
+            mono = tuple(ids[v] for v in mono)
+            if mono == (x, y):
+                work.add_term(mono, coeff)  # the one gadget term that can be stored
+            else:
+                terms[mono] = coeff
+        z += 1
 
+    work.num_variables = z
     registry = AncillaRegistry(base_count=base, entries=tuple(entries))
     return QuboProblem(polynomial=work, registry=registry,
                        reduction_penalty=float(reduction_penalty))

@@ -13,7 +13,7 @@ from mdpspin.compiler import (CompilerConfig, compile_hamiltonian, coupling_coef
 from mdpspin.dp import policy_evaluation_exact
 from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp, PolicyAssignment, ValidationError, build_hallway, policy_rows
-from mdpspin.pseudoboolean import DROP_TOL, all_assignment_energies
+from mdpspin.pseudoboolean import DROP_TOL, PseudoBooleanPolynomial, all_assignment_energies
 
 
 def two_state_cycle(reward=5.0, gamma=0.9):
@@ -213,6 +213,37 @@ def test_oracle_identity_feasible_policies():
 ])
 def test_oracle_identity_random_sparse_mdp(seed, k):
     assert_oracle_identity(random_sparse_mdp(seed), k)
+
+
+@pytest.mark.parametrize("seed, reward_scale", [
+    pytest.param(0, 1.0, id="random0"),
+    pytest.param(1, 1.0, id="random1"),
+    pytest.param(2, 1e-11, id="random2-tiny-rewards"),
+])
+def test_objective_matches_add_term_build(monkeypatch, seed, reward_scale):
+    """The objective built from the walk sum's bitmasks is the one that
+    add_term builds from the same masks, term for term and in order."""
+    mdp = random_sparse_mdp(seed)
+    mdp = Mdp(mdp.transition, mdp.reward * reward_scale, mdp.discount)
+    masks = {}
+    build = compiler._mask_polynomial
+
+    def spy(coeffs, num_variables):
+        masks.update(coeffs)
+        return build(coeffs, num_variables)
+
+    monkeypatch.setattr(compiler, "_mask_polynomial", spy)
+    objective = compile_hamiltonian(mdp, CompilerConfig(4)).objective
+    expected = PseudoBooleanPolynomial(mdp.num_pairs)
+    for visited, coeff in masks.items():
+        expected.add_term([v for v in range(mdp.num_pairs) if visited >> v & 1], coeff)
+    assert list(objective.terms.items()) == list(expected.terms.items())
+    for mono, coeff in objective.terms.items():
+        assert list(mono) == sorted(set(mono)) and abs(coeff) > DROP_TOL
+    dropped = [c for c in masks.values() if abs(c) <= DROP_TOL]
+    assert len(objective) == len(masks) - len(dropped)
+    if reward_scale < 1.0:
+        assert any(c != 0.0 for c in dropped)
 
 
 def test_tail_of_series_is_discount_bounded():

@@ -280,6 +280,22 @@ class TestCli:
         path.write_text("{oops")
         assert main(["validate", "--mdp", str(path)]) == 2
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"num_states": True, "num_actions": True, "transition": [[[1.0]]],
+          "reward": [[[0.0]]]}, "num_states and num_actions must be positive integers"),
+        ({"discount": True}, "field 'discount': expected a number"),
+    ], ids=["counts", "discount"])
+    def test_json_booleans_are_parse_errors(self, tmp_path, capsys, fields, message):
+        doc = json.loads(save_mdp(build_hallway(4, 0.9)))
+        doc.update(fields)
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", "--mdp", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_exit_code_2_when_no_instance(self, capsys):
         assert main(["compile", "--truncation", "2"]) == 2
 

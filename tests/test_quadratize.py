@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from mdpspin import CompilerConfig, build_hallway, compile_hamiltonian
+from mdpspin import CompilerConfig, Mdp, build_hallway, compile_hamiltonian
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
 from mdpspin.quadratize import (AncillaRegistry, consistency_violations, lift,
                                 minimized_over_ancillas, project, quadratize,
@@ -83,6 +83,34 @@ def test_matches_full_recount_reference_on_deep_hallway():
     ham = compile_hamiltonian(build_hallway(8, 0.9), CompilerConfig(8))
     qubo = assert_matches_reference(ham.polynomial, 5.0, ham.num_variables)
     assert qubo.registry.num_ancillas == 279
+
+
+def test_matches_full_recount_reference_on_random_mdp():
+    # 6 states x 3 actions, each pair reaching 3 distinct states with
+    # Dirichlet weights and normal rewards: no interval structure to the pairs
+    rng = np.random.default_rng(3)
+    P = np.zeros((6, 3, 6))
+    R = np.zeros_like(P)
+    for s in range(6):
+        for a in range(3):
+            nxt = rng.choice(6, size=3, replace=False)
+            P[s, a, nxt] = rng.dirichlet(np.ones(3))
+            R[s, a, nxt] = rng.normal(size=3)
+    ham = compile_hamiltonian(Mdp(P, R, 0.9), CompilerConfig(4))
+    qubo = assert_matches_reference(ham.polynomial, 5.0, ham.num_variables)
+    assert qubo.registry.num_ancillas == 153
+
+
+def test_matches_full_recount_reference_past_two_capacity_doublings():
+    # every 4- and 5-subset of 6 variables; the pair counts start with room
+    # for base + 1 variables and double when full, so 9 or more ancillas
+    # (ids past 2 * 7) take at least two doublings
+    poly = PseudoBooleanPolynomial(6)
+    for size in (4, 5):
+        for i, mono in enumerate(itertools.combinations(range(6), size)):
+            poly.add_term(mono, (-1.0) ** i * (1.0 + i / 8))
+    qubo = assert_matches_reference(poly, 5.0, 6)
+    assert qubo.registry.total_variables > 2 * (6 + 1)
 
 
 class TestPairIndexEdges:
