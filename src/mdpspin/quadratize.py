@@ -23,6 +23,7 @@ being value-preserving.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies, variable_count
