@@ -1,15 +1,17 @@
 """Run the benchmark on two commits in alternating pairs and write a BENCH_*.json.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_16.json
+    python3 scripts/bench_pairs.py PARENT CHANGE --trace-seed SEED --out BENCH_16.json
 
 PARENT and CHANGE are git revisions of this repository.  Each is exported
 with ``git archive`` into its own temporary directory, and every run is
 ``perfbench/run.py`` from that checkout, with the run length named in
-``BENCHMARK.json``.  For each workload, ``--pairs`` pairs run the two sides
-once each with tracing off, alternating which side runs first.  The file
-holds each side's runs, median and quartiles of every end-to-end metric,
-the failed share, and the pairs the change won.  One traced ``qubo-build``
-run per side at ``--trace-seed`` adds the per-layer metrics.
+``BENCHMARK.json``.  For each workload, PAIRS pairs at seed SEED run the two
+sides once each with tracing off, alternating which side runs first.  The
+file holds each side's runs, median and quartiles of every end-to-end
+metric, the failed share, and the pairs the change won.  One traced
+``qubo-build`` run per side at ``--trace-seed`` adds the per-layer metrics.
+The trace seed has no default: pick one the change was not tuned on, so
+its per-layer numbers are not the ones it was built against.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+SEED = 0
 
 
 def export(revision: str, into: Path) -> str:
@@ -68,9 +72,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trace-seed", type=int, default=7)
+    parser.add_argument("--trace-seed", type=int, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -84,10 +86,10 @@ def main(argv=None) -> int:
         workloads = {}
         for workload in (w["name"] for w in spec["workloads"]):
             results = {"parent": [], "change": []}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    results[side].append(run(checkouts[side], workload, args.seed,
+                    results[side].append(run(checkouts[side], workload, SEED,
                                              seconds, trace=0))
                     print(f"{workload} pair {pair} {side}: "
                           f"{json.dumps(results[side][-1]['metrics'])}", flush=True)
@@ -104,8 +106,8 @@ def main(argv=None) -> int:
     record = {
         "parent": commits["parent"], "commit": commits["change"],
         "python": platform.python_version(), "numpy": np.__version__,
-        "cpu_count": os.cpu_count(), "run_seconds": seconds, "seed": args.seed,
-        "pairs": args.pairs, "workloads": workloads,
+        "cpu_count": os.cpu_count(), "run_seconds": seconds, "seed": SEED,
+        "pairs": PAIRS, "workloads": workloads,
         "traced_qubo_build": {"seed": args.trace_seed,
                               **{side: {name: m["value"] for name, m in traced[side].items()}
                                  for side in traced}},

@@ -14,10 +14,14 @@ existing one.  The pair counts are kept up to date, not recounted: a dense
 matrix counts, for every two variables, the degree >= 3 monomials holding
 both.  One product of a bool incidence of variables against those monomials
 builds it, and a round corrects only the rows and columns of the pair and
-its ancilla, so its cost is in proportion to the variables and to the
-monomials it rewrites.  Substitution never rewrites degree-2 terms: gadget
-penalties from earlier rounds must survive verbatim or the reduction stops
-being value-preserving.
+its ancilla.  A round still scans: picking the pair reads the whole count
+matrix, quadratic in the variables, and finding the pair's holders reads the
+incidence of every degree >= 3 input monomial.  Only the count correction
+and the rewrite are in proportion to the monomials rewritten (times the
+variables, for the correction), so over all rounds the reduction grows with
+the cube of the variable count.  Substitution never rewrites degree-2
+terms: gadget penalties from earlier rounds must survive verbatim or the
+reduction stops being value-preserving.
 """
 
 from __future__ import annotations
