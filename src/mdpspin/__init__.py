@@ -10,18 +10,16 @@ from .anneal import (AnnealSchedule, SaRead, TtsEstimate, TtsSweepResult,
                      default_beta_range, exhaustive_ground_state, simulated_anneal,
                      success_probability, tts, tts_sweep)
 from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
-                       coupling_coefficient, minimal_truncation_order,
-                       truncated_q_table)
-from .dp import (QLearningConfig, bellman_residual, best_policy_exhaustive,
-                 policy_evaluation_exact, q_learning, value_iteration)
+                       minimal_truncation_order, truncated_q_table)
+from .dp import (QLearningConfig, best_policy_exhaustive, policy_evaluation_exact,
+                 q_learning, value_iteration)
 from .errors import InstanceTooLargeError
 from .mdp import (Mdp, ParseError, PolicyAssignment, ValidationError, build_hallway,
-                  flat_index, load_mdp, save_mdp, terminal_states, unflatten_index)
+                  flat_index, load_mdp, save_mdp, terminal_states)
 from .pseudoboolean import (Monomial, PseudoBooleanPolynomial, all_assignment_energies,
                             normalize_monomial)
-from .quadratize import (AncillaRegistry, QuboProblem, consistency_violations, lift,
-                         minimized_over_ancillas, project, quadratize,
-                         rosenberg_penalty, to_qubo_text)
+from .quadratize import (AncillaRegistry, QuboProblem, consistency_violations, project,
+                         quadratize, rosenberg_penalty, to_qubo_text)
 from .resources import GateVolume, ResourceReport, count_resources, qaoa_gate_volume, scaling_fit
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,8 @@ follows the standard repeated-trial formula
 
     TTS(t) = t * ln(1 - p_d) / ln(1 - p_s)
 
-with effort t = n_sweeps * n_variables / f for simulated annealing.
+with effort t = n_sweeps * n_variables, in sweep-variable units, for
+simulated annealing.
 """
 
 from __future__ import annotations
@@ -275,9 +276,8 @@ class TtsSweepResult:
 def tts_sweep(poly: PseudoBooleanPolynomial, ground_energy: float,
               sweep_grid: Sequence[int], num_reads: int,
               desired_probability: float = 0.99, rng_seed: int = 0,
-              num_variables: int | None = None,
-              flip_frequency: float = 1.0) -> TtsSweepResult:
-    """Anneal at each sweep count and report TTS with effort n_s * N / f."""
+              num_variables: int | None = None) -> TtsSweepResult:
+    """Anneal at each sweep count and report TTS with effort n_s * N."""
     n = variable_count(poly, num_variables)
     b0, b1 = default_beta_range(poly)
     rows: list[TtsSweepRow] = []
@@ -286,8 +286,7 @@ def tts_sweep(poly: PseudoBooleanPolynomial, ground_energy: float,
                                   num_reads=num_reads, rng_seed=rng_seed)
         reads = simulated_anneal(poly, schedule, num_variables=n)
         p, err = success_probability(reads, ground_energy)
-        effort = ns * n / flip_frequency
-        rows.append(TtsSweepRow(int(ns), tts(p, effort, desired_probability, err)))
+        rows.append(TtsSweepRow(int(ns), tts(p, float(ns * n), desired_probability, err)))
     finite = [r for r in rows if r.estimate.is_finite]
     optimal = min(finite, key=lambda r: r.estimate.value) if finite else None
     return TtsSweepResult(rows=tuple(rows), optimal=optimal)

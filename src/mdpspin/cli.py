@@ -10,9 +10,11 @@ override file values, which override defaults.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
+import typing
 
 from .anneal import exhaustive_ground_state, success_probability
 from .compiler import CompilerConfig, compile_hamiltonian
@@ -21,22 +23,17 @@ from .errors import InstanceTooLargeError
 from .experiments import (ExperimentConfig, _anneal, _write, prepare, run_k_heatmap,
                           run_oracle_compare, run_resources, run_solve,
                           run_tts_sweep)
-from .mdp import Mdp, ParseError, ValidationError, build_hallway, load_mdp, terminal_states
+from .mdp import (HALLWAY_SLIP, Mdp, ParseError, ValidationError, build_hallway, load_mdp,
+                  terminal_states)
 from .pseudoboolean import PseudoBooleanPolynomial
 from .quadratize import consistency_violations, quadratize, to_qubo_text
 
-_CONFIG_LIST_KEYS = {"sizes": int, "gammas": float, "sweep_grid": int}
-_CONFIG_SCALAR_KEYS = {
-    "slip": float, "truncation": int, "k_max": int,
-    "penalty_strength": float, "reduction_penalty": float, "num_sweeps": int,
-    "num_reads": int, "desired_probability": float, "seed": int,
-    "num_qlearning_seeds": int, "qlearning_episodes": int, "match_rule": str,
-    "out_dir": str,
-}
-
 
 def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' comments; lists comma-separated."""
+    """Flat ``key = value`` lines; '#' comments; lists comma-separated.  A key is an
+    ``ExperimentConfig`` field but ``experiment``, read as its field's type."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    del hints["experiment"]  # the subcommand names the experiment
     values: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -47,28 +44,31 @@ def parse_config_file(path: str) -> dict:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key in _CONFIG_LIST_KEYS:
-                cast = _CONFIG_LIST_KEYS[key]
-                values[key] = tuple(cast(v.strip()) for v in val.split(",") if v.strip())
-            elif key in _CONFIG_SCALAR_KEYS:
-                values[key] = _CONFIG_SCALAR_KEYS[key](val)
-            else:
+            if key not in hints:
                 raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+            hint = hints[key]
+            # a tuple field's element type, an optional field's non-None type
+            cast = next(t for t in typing.get_args(hint) + (hint,)
+                        if t not in (type(None), Ellipsis))
+            try:
+                values[key] = (tuple(cast(v.strip()) for v in val.split(",") if v.strip())
+                               if typing.get_origin(hint) is tuple else cast(val))
+            except ValueError as e:
+                raise ParseError(f"{path}:{lineno}: {key}: {e}") from None
     return values
 
 
-def _experiment_config(args, experiment: str) -> ExperimentConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for key in list(_CONFIG_SCALAR_KEYS) + list(_CONFIG_LIST_KEYS):
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            values[key] = tuple(cli_val) if key in _CONFIG_LIST_KEYS else cli_val
-    values["experiment"] = experiment
-    if getattr(args, "out", None):
-        values["out_dir"] = args.out
-    return ExperimentConfig(**values)
+def _given(args, cls) -> dict:
+    """The fields of dataclass ``cls`` that the command line set, lists as tuples."""
+    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+    return {key: tuple(val) if isinstance(val, list) else val
+            for key, val in values.items() if val is not None}
+
+
+def _experiment_config(args) -> ExperimentConfig:
+    """The ``--config`` file's values, overridden by the flags that were given."""
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    return ExperimentConfig(**{**values, **_given(args, ExperimentConfig)})
 
 
 def _load_instance(args) -> Mdp:
@@ -76,14 +76,12 @@ def _load_instance(args) -> Mdp:
         with open(args.mdp) as fh:
             return load_mdp(fh.read())
     if getattr(args, "hallway", None):
-        gamma = args.gamma if args.gamma is not None else 0.99
-        slip = args.slip if args.slip is not None else 0.04
-        return build_hallway(args.hallway, gamma, slip)
+        return build_hallway(args.hallway, args.gamma, args.slip)
     raise ValidationError(["no instance given: pass --mdp FILE or --hallway N"])
 
 
 def _emit(args, text: str, filename: str) -> None:
-    path = _write(args.out, filename, text)
+    path = _write(args.out_dir, filename, text)
     if path:
         print(f"wrote {path}")
     else:
@@ -94,13 +92,14 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mdp", help="MDP document (JSON) to load")
     p.add_argument("--hallway", type=int, metavar="N",
                    help="build an N-state hallway instead of loading a document")
-    p.add_argument("--gamma", type=float, help="discount factor (hallway)")
-    p.add_argument("--slip", type=float, help="slip probability (hallway)")
+    p.add_argument("--gamma", type=float, default=0.99, help="discount factor (hallway)")
+    p.add_argument("--slip", type=float, default=HALLWAY_SLIP,
+                   help="slip probability (hallway)")
 
 
 def _cmd_compile(args) -> int:
     mdp = _load_instance(args)
-    config = CompilerConfig(args.truncation, args.penalty)
+    config = CompilerConfig(args.truncation, **_given(args, CompilerConfig))
     ham = compile_hamiltonian(mdp, config)
     print(f"num_terms={len(ham.polynomial)} objective_terms={len(ham.objective)} "
           f"degree={ham.polynomial.degree()} constant_offset={ham.constant_offset!r}")
@@ -108,21 +107,14 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _prepare(args, **fields):
-    """The instance flags' MDP compiled at --truncation and reduced with --m-or,
-    and the config that did it (``fields`` set its other values)."""
-    config = ExperimentConfig(truncation=args.truncation, penalty_strength=args.penalty,
-                              reduction_penalty=args.m_or, **fields)
-    return prepare(_load_instance(args), config), config
-
-
 def _cmd_quadratize(args) -> int:
+    config = _experiment_config(args)
     if args.poly:
         with open(args.poly) as fh:
             poly = PseudoBooleanPolynomial.from_text(fh.read())
-        qubo = quadratize(poly, args.m_or, num_variables=poly.num_variables)
+        qubo = quadratize(poly, config.reduction_penalty, num_variables=poly.num_variables)
     else:
-        qubo = _prepare(args)[0].qubo
+        qubo = prepare(_load_instance(args), config).qubo
     print(f"variables={qubo.num_variables} ancillas={qubo.registry.num_ancillas} "
           f"terms={len(qubo.polynomial)}")
     _emit(args, to_qubo_text(qubo), "problem.qubo")
@@ -133,8 +125,8 @@ def _cmd_anneal(args) -> int:
     if (args.beta_start is None) != (args.beta_end is None):
         missing = "--beta-start" if args.beta_start is None else "--beta-end"
         raise ValueError(f"{missing} is missing: give both beta flags or neither")
-    inst, config = _prepare(args, num_sweeps=args.sweeps, num_reads=args.reads,
-                            seed=args.seed or 0)
+    config = _experiment_config(args)
+    inst = prepare(_load_instance(args), config)
     _, ground = exhaustive_ground_state(inst.ham.polynomial, inst.ham.num_variables)
     betas = None if args.beta_start is None else (args.beta_start, args.beta_end)
     schedule, reads, _ = _anneal(inst, config, betas)
@@ -146,7 +138,7 @@ def _cmd_anneal(args) -> int:
         lines.append(f"{i},{read.energy!r},{int(pol.is_feasible())},"
                      f"{int(not consistency_violations(read.assignment, inst.qubo.registry))},"
                      f"{bits}")
-    lines.append(f"# summary: reads={args.reads} sweeps={args.sweeps} "
+    lines.append(f"# summary: reads={config.num_reads} sweeps={config.num_sweeps} "
                  f"beta=[{schedule.beta_start!r},{schedule.beta_end!r}] "
                  f"ground_energy={ground!r} p_s={p_s!r} stderr={p_err!r}")
     _emit(args, "\n".join(lines) + "\n", "anneal.csv")
@@ -171,9 +163,8 @@ def _cmd_oracle(args) -> int:
         lines.append(f"# exhaustive best action-value sum: {total!r} ties: {len(ties)}")
         lines.append(_policy_line("exhaustive", best))
     if args.qlearning:
-        cfg = QLearningConfig(learning_rate=args.alpha, epsilon=args.epsilon,
-                              num_episodes=args.episodes, rng_seed=args.seed or 0)
-        ql, ql_greedy = q_learning(mdp, cfg, terminal=terminal_states(mdp))
+        ql, ql_greedy = q_learning(mdp, QLearningConfig(**_given(args, QLearningConfig)),
+                                   terminal=terminal_states(mdp))
         lines += _q_rows("q_learning", ql)
         lines.append(_policy_line("q-learning greedy", ql_greedy))
     lines.append(_policy_line("value-iteration greedy", greedy))
@@ -198,30 +189,30 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("compile", help="compile an MDP to polynomial form")
     _add_instance_flags(p)
     p.add_argument("--truncation", "-K", type=int, required=True)
-    p.add_argument("--penalty", "-M", type=float, default=3.0)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--penalty", "-M", type=float, dest="penalty_strength")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("quadratize", help="reduce to QUBO form")
     _add_instance_flags(p)
     p.add_argument("--poly", help="polynomial text file (alternative to an instance)")
     p.add_argument("--truncation", "-K", type=int, default=3)
-    p.add_argument("--penalty", "-M", type=float, default=3.0)
-    p.add_argument("--m-or", type=float, default=5.0)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--penalty", "-M", type=float, dest="penalty_strength")
+    p.add_argument("--m-or", type=float, dest="reduction_penalty")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.set_defaults(func=_cmd_quadratize)
 
     p = sub.add_parser("anneal", help="simulated annealing on the QUBO")
     _add_instance_flags(p)
     p.add_argument("--truncation", "-K", type=int, default=3)
-    p.add_argument("--penalty", "-M", type=float, default=3.0)
-    p.add_argument("--m-or", type=float, default=5.0)
-    p.add_argument("--sweeps", type=int, default=20)
-    p.add_argument("--reads", type=int, default=1000)
+    p.add_argument("--penalty", "-M", type=float, dest="penalty_strength")
+    p.add_argument("--m-or", type=float, dest="reduction_penalty")
+    p.add_argument("--sweeps", type=int, dest="num_sweeps")
+    p.add_argument("--reads", type=int, dest="num_reads")
     p.add_argument("--beta-start", type=float)
     p.add_argument("--beta-end", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.set_defaults(func=_cmd_anneal)
 
     p = sub.add_parser("oracle", help="exact DP and Q-learning baselines")
@@ -229,11 +220,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--exhaustive", action="store_true",
                    help="also run exhaustive policy search")
     p.add_argument("--qlearning", action="store_true")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--episodes", type=int, default=20000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--alpha", type=float, dest="learning_rate")
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--episodes", type=int, dest="num_episodes")
+    p.add_argument("--seed", type=int, dest="rng_seed")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("validate", help="check an MDP document")
@@ -259,8 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--reduction-penalty", type=float, dest="reduction_penalty")
         p.add_argument("--num-reads", type=int, dest="num_reads")
         p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.set_defaults(func=_cmd_single if single else _cmd_grid, experiment_name=name)
+        p.add_argument("--out", dest="out_dir", help="output directory")
+        p.set_defaults(func=_cmd_single if single else _cmd_grid, experiment=name)
 
     args = parser.parse_args(argv)
     try:
@@ -275,22 +266,21 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_single(args) -> int:
-    config = _experiment_config(args, args.experiment_name)
-    runner = run_solve if args.experiment_name == "solve" else run_oracle_compare
+    config = _experiment_config(args)
+    runner = run_solve if config.experiment == "solve" else run_oracle_compare
     record = runner(config, args.num_states, args.gamma)
     print(json.dumps(record, indent=1, default=str))
     return 0
 
 
 def _cmd_grid(args) -> int:
-    name = args.experiment_name
-    config = _experiment_config(args, name)
-    if name == "k-heatmap":
+    config = _experiment_config(args)
+    if config.experiment == "k-heatmap":
         rows = run_k_heatmap(config)
         for r in rows:
             print(f"|S|={r['num_states']} gamma={r['gamma']}: "
                   f"K={r['minimal_k']} ({r['status']})")
-    elif name == "tts-sweep":
+    elif config.experiment == "tts-sweep":
         items = run_tts_sweep(config)
         for item in items:
             if item["status"] != "ok":

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -72,25 +72,6 @@ class CompiledHamiltonian:
     @property
     def num_variables(self) -> int:
         return self.num_states * self.num_actions
-
-
-def coupling_coefficient(mdp: Mdp, chain: Sequence[tuple[int, int]]) -> float:
-    """Ordered-walk weight of a chain of (state, action) pairs, order k = len(chain)."""
-    if not chain:
-        raise ValueError("chain must contain at least one (state, action) pair")
-    P = mdp.transition
-    for s, a in chain:
-        if not (0 <= s < mdp.num_states and 0 <= a < mdp.num_actions):
-            raise IndexError(f"pair ({s}, {a}) out of range")
-    in_weight = P.sum(axis=(0, 1))
-    er = mdp.expected_reward()
-    weight = in_weight[chain[0][0]]
-    for (s1, a1), (s2, _) in zip(chain, chain[1:]):
-        weight *= P[s1, a1, s2]
-        if weight == 0.0:
-            return 0.0
-    s_k, a_k = chain[-1]
-    return (mdp.discount ** len(chain)) * weight * er[s_k, a_k]
 
 
 def _penalty_polynomial(mdp: Mdp, strength: float) -> PseudoBooleanPolynomial:

@@ -44,13 +44,6 @@ def value_iteration(mdp: Mdp, tol: float = 1e-12,
     raise RuntimeError(f"value iteration did not converge within {max_iters} iterations")
 
 
-def bellman_residual(mdp: Mdp, q: np.ndarray) -> float:
-    """Sup-norm distance of a Q table from one optimality backup of itself."""
-    pr = mdp.expected_reward()
-    backed = pr + mdp.discount * (mdp.transition @ q.max(axis=1))
-    return float(np.abs(backed - q).max())
-
-
 def _exact_q(mdp: Mdp, actions: np.ndarray) -> np.ndarray:
     """Exact Q^pi, shape (rows, |S|, |A|), of each policy row of ``actions`` (an
     action per state): one stacked solve of the rows' |S x A| fixed-point systems."""
@@ -103,7 +96,6 @@ class QLearningConfig:
     learning_rate: float = 0.1
     epsilon: float = 0.1
     num_episodes: int = 20_000
-    max_steps_per_episode: int | None = None  # None -> 10 * |S|
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -120,7 +112,7 @@ def q_learning(mdp: Mdp, config: QLearningConfig,
     """Tabular Q-learning with epsilon-greedy exploration on the model tensors.
 
     Episodes start uniformly over non-terminal states and end on reaching a
-    terminal state or after the per-episode step cap.  Transitions are
+    terminal state or after 10 * |S| steps.  Transitions are
     sampled from the transition tensor with the seeded generator.
     """
     rng = np.random.default_rng(config.rng_seed)
@@ -129,14 +121,13 @@ def q_learning(mdp: Mdp, config: QLearningConfig,
     starts = np.array([s for s in range(n) if s not in terminal_set], dtype=int)
     if starts.size == 0:
         raise ValueError("every state is terminal; nothing to learn")
-    max_steps = config.max_steps_per_episode or 10 * n
     cum_p = mdp.transition.cumsum(axis=2)
     q = np.zeros((n, na))
     alpha, eps, gamma = config.learning_rate, config.epsilon, mdp.discount
 
     for _ in range(config.num_episodes):
         state = int(starts[rng.integers(starts.size)])
-        for _ in range(max_steps):
+        for _ in range(10 * n):
             if rng.random() < eps:
                 action = int(rng.integers(na))
             else:

@@ -25,8 +25,9 @@ from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
                        minimal_truncation_order)
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import InstanceTooLargeError
-from .mdp import Mdp, PolicyAssignment, build_hallway, terminal_states
-from .quadratize import QuboProblem, consistency_violations, project, quadratize
+from .mdp import HALLWAY_SLIP, Mdp, PolicyAssignment, build_hallway, terminal_states
+from .quadratize import (REDUCTION_PENALTY, QuboProblem, consistency_violations, project,
+                         quadratize)
 from .resources import count_resources
 
 EXPERIMENTS = ("solve", "k-heatmap", "tts-sweep", "resources", "oracle-compare")
@@ -37,18 +38,18 @@ class ExperimentConfig:
     experiment: str = "solve"
     sizes: tuple[int, ...] = (4, 5, 6, 7, 8)
     gammas: tuple[float, ...] = (0.6, 0.7, 0.8, 0.9)
-    slip: float = 0.04
+    slip: float = HALLWAY_SLIP
     truncation: int | None = None  # None -> minimal order per instance
     k_max: int = 8
-    penalty_strength: float = 3.0
-    reduction_penalty: float = 5.0
+    penalty_strength: float = CompilerConfig.penalty_strength
+    reduction_penalty: float = REDUCTION_PENALTY
     num_sweeps: int = 20
     num_reads: int = 1000
     sweep_grid: tuple[int, ...] = (1, 2, 3, 5, 7, 10, 15, 20, 30, 50)
     desired_probability: float = 0.99
     seed: int = 0
     num_qlearning_seeds: int = 20
-    qlearning_episodes: int = 20_000
+    qlearning_episodes: int = QLearningConfig.num_episodes
     match_rule: str = "energy"
     out_dir: str | None = None
 

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
+HALLWAY_SLIP = 0.04
 
 
 class ValidationError(ValueError):
@@ -85,11 +86,6 @@ def flat_index(state: int, action: int, num_actions: int) -> int:
     return state * num_actions + action
 
 
-def unflatten_index(flat_id: int, num_actions: int) -> tuple[int, int]:
-    """Inverse of :func:`flat_index`."""
-    return divmod(flat_id, num_actions)
-
-
 def policy_rows(num_states: int, num_actions: int, indices: np.ndarray) -> np.ndarray:
     """Actions ``rows[i, s]`` of the policies at lexicographic ``indices``.
 
@@ -154,6 +150,9 @@ def _violations(mdp: Mdp) -> list[str]:
     if P.ndim != 3 or P.shape[0] != P.shape[2]:
         out.append(f"transition tensor has shape {P.shape}, expected (S, A, S)")
         return out
+    for axis, name in ((0, "states"), (1, "actions")):
+        if P.shape[axis] == 0:
+            out.append(f"transition tensor has shape {P.shape}: no {name}")
     if R.shape != P.shape:
         out.append(f"reward shape {R.shape} does not match transition shape {P.shape}")
         return out
@@ -172,7 +171,7 @@ def _violations(mdp: Mdp) -> list[str]:
     return out
 
 
-def build_hallway(num_states: int, gamma: float, slip: float = 0.04) -> Mdp:
+def build_hallway(num_states: int, gamma: float, slip: float = HALLWAY_SLIP) -> Mdp:
     """One-dimensional hallway with dirt piles at both ends.
 
     Two actions (0 = left, 1 = right).  Interior tiles move in the intended

@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies, variable_count
+from .pseudoboolean import PseudoBooleanPolynomial, variable_count
+
+REDUCTION_PENALTY = 5.0  # the uniform gadget strength M_OR of every round
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ def rosenberg_penalty(x: int, y: int, z: int, strength: float) -> PseudoBooleanP
     return gadget
 
 
-def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = 5.0,
+def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = REDUCTION_PENALTY,
                num_variables: int | None = None) -> QuboProblem:
     """Reduce an arbitrary-degree polynomial to degree <= 2.
 
@@ -166,20 +168,6 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = 5.0,
                        reduction_penalty=float(reduction_penalty))
 
 
-def lift(assignment, registry: AncillaRegistry) -> np.ndarray:
-    """Extend an original-variable assignment with consistent ancilla values."""
-    x = np.asarray(assignment, dtype=np.int8)
-    if x.shape[0] < registry.base_count:
-        raise ValueError(
-            f"assignment covers {x.shape[0]} variables, need {registry.base_count}"
-        )
-    full = np.zeros(registry.total_variables, dtype=np.int8)
-    full[: registry.base_count] = x[: registry.base_count]
-    for z, a, b in registry.entries:
-        full[z] = full[a] & full[b]
-    return full
-
-
 def project(full_assignment, registry: AncillaRegistry) -> np.ndarray:
     """Original-variable slice of a full assignment."""
     full = np.asarray(full_assignment, dtype=np.int8)
@@ -194,22 +182,6 @@ def consistency_violations(full_assignment, registry: AncillaRegistry) -> int:
     if full.shape[0] < registry.total_variables:
         raise ValueError("assignment does not cover all ancillas")
     return sum(1 for z, a, b in registry.entries if full[z] != (full[a] & full[b]))
-
-
-def minimized_over_ancillas(qubo: QuboProblem) -> np.ndarray:
-    """Per-original-assignment minimum of the QUBO over all ancilla settings.
-
-    Entry i is min_z QUBO(x=i, z) where bit v of i is original variable v.
-    This is the quantity that must reproduce the unreduced polynomial's
-    values for the reduction to be exact.
-    """
-    reg = qubo.registry
-    energies = all_assignment_energies(qubo.polynomial, reg.total_variables)
-    if reg.num_ancillas == 0:
-        return energies
-    # ancilla ids are the high bits, so a reshape exposes them as the rows
-    grid = energies.reshape(1 << reg.num_ancillas, 1 << reg.base_count)
-    return grid.min(axis=0)
 
 
 def to_qubo_text(qubo: QuboProblem) -> str:

@@ -28,36 +28,30 @@ class ResourceReport:
     base_variables: int
     logical_variables: int
     coefficient_count: int
-    truncation: int | None = None
-    discount: float | None = None
-    fit_value: float | None = None
-    qaoa_gate_volume_worst: GateVolume | None = None
-    qaoa_gate_volume_ancilla: GateVolume | None = None
+    truncation: int
+    discount: float
+    fit_value: float
+    qaoa_gate_volume_worst: GateVolume
+    qaoa_gate_volume_ancilla: GateVolume
 
 
-def count_resources(qubo: QuboProblem, truncation: int | None = None,
-                    discount: float | None = None,
-                    num_states: int | None = None,
-                    num_actions: int | None = None) -> ResourceReport:
-    """Count used variables and nonzero terms; fill closed forms (gate volumes
-    at QAOA depth 1) when the instance context (K, gamma, |S|, |A|) is supplied."""
+def count_resources(qubo: QuboProblem, *, truncation: int, discount: float,
+                    num_states: int, num_actions: int) -> ResourceReport:
+    """Count used variables and nonzero terms, and fill the closed forms of the
+    instance (K, gamma, |S|, |A|): the scaling fit and the gate volumes at QAOA
+    depth 1."""
     used = {v for mono in qubo.polynomial.terms for v in mono}
-    coefficient_count = sum(1 for m in qubo.polynomial.terms if m)
-    fit = None
-    worst = ancilla = None
-    if truncation is not None and discount is not None and num_states and num_actions:
-        fit = scaling_fit(num_states, num_actions, truncation, discount)
-        worst = qaoa_gate_volume(num_states, num_actions, truncation, 1, "worst")
-        ancilla = qaoa_gate_volume(num_states, num_actions, truncation, 1, "ancilla")
     return ResourceReport(
         base_variables=qubo.registry.base_count,
         logical_variables=len(used),
-        coefficient_count=coefficient_count,
+        coefficient_count=sum(1 for m in qubo.polynomial.terms if m),
         truncation=truncation,
         discount=discount,
-        fit_value=fit,
-        qaoa_gate_volume_worst=worst,
-        qaoa_gate_volume_ancilla=ancilla,
+        fit_value=scaling_fit(num_states, num_actions, truncation, discount),
+        qaoa_gate_volume_worst=qaoa_gate_volume(num_states, num_actions, truncation,
+                                                1, "worst"),
+        qaoa_gate_volume_ancilla=qaoa_gate_volume(num_states, num_actions, truncation,
+                                                  1, "ancilla"),
     )
 
 

@@ -14,11 +14,12 @@ from mdpspin.anneal import (AnnealSchedule, default_beta_range, exhaustive_groun
                             simulated_anneal, success_probability, tts, tts_sweep)
 from mdpspin.compiler import (CompilerConfig, compile_hamiltonian,
                               minimal_truncation_order, truncated_q_table)
-from mdpspin.dp import (bellman_residual, best_policy_exhaustive, policy_evaluation_exact,
-                        q_learning, QLearningConfig, value_iteration)
+from mdpspin.dp import (best_policy_exhaustive, policy_evaluation_exact, q_learning,
+                        QLearningConfig, value_iteration)
 from mdpspin.mdp import PolicyAssignment, build_hallway, policy_rows, terminal_states
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
-from mdpspin.quadratize import minimized_over_ancillas, quadratize, rosenberg_penalty
+from mdpspin.quadratize import quadratize, rosenberg_penalty
+from oracles import bellman_residual, minimized_over_ancillas
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mdpspin import compiler
-from mdpspin.compiler import (CompilerConfig, compile_hamiltonian, coupling_coefficient,
-                              minimal_truncation_order, truncated_q_table)
+from mdpspin.compiler import (CompilerConfig, compile_hamiltonian, minimal_truncation_order,
+                              truncated_q_table)
 from mdpspin.dp import policy_evaluation_exact
 from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp, PolicyAssignment, ValidationError, build_hallway, policy_rows
 from mdpspin.pseudoboolean import DROP_TOL, PseudoBooleanPolynomial, all_assignment_energies
+from oracles import coupling_coefficient
 
 
 def two_state_cycle(reward=5.0, gamma=0.9):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mdpspin import dp
-from mdpspin.dp import (ENUMERATION_LIMIT, TIE_TOL, QLearningConfig, bellman_residual,
-                        best_policy_exhaustive, policy_evaluation_exact, q_learning,
-                        value_iteration)
+from mdpspin.dp import (ENUMERATION_LIMIT, TIE_TOL, QLearningConfig, best_policy_exhaustive,
+                        policy_evaluation_exact, q_learning, value_iteration)
 from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, policy_rows, terminal_states
+from oracles import bellman_residual
 
 
 def test_value_iteration_recovers_known_policy():

@@ -10,11 +10,13 @@ import pytest
 from mdpspin import compiler, experiments
 from mdpspin.anneal import AnnealSchedule, simulated_anneal
 from mdpspin.cli import main, parse_config_file
-from mdpspin.compiler import minimal_truncation_order
+from mdpspin.compiler import CompilerConfig, minimal_truncation_order
+from mdpspin.dp import QLearningConfig
 from mdpspin.experiments import (ExperimentConfig, prepare, run_k_heatmap,
                                  run_oracle_compare, run_resources, run_solve,
                                  run_tts_sweep)
-from mdpspin.mdp import ParseError, build_hallway, save_mdp
+from mdpspin.mdp import HALLWAY_SLIP, ParseError, build_hallway, save_mdp
+from mdpspin.quadratize import REDUCTION_PENALTY
 
 
 def fast_config(**overrides):
@@ -137,6 +139,30 @@ class TestConfigFile:
         assert values == {"gammas": (0.6, 0.9), "sizes": (4,), "num_reads": 33,
                           "seed": 4}
 
+    @pytest.mark.parametrize("field", [f for f in dataclasses.fields(ExperimentConfig)
+                                       if f.name != "experiment"], ids=lambda f: f.name)
+    def test_each_field_reads_back_as_its_type(self, tmp_path, field):
+        # the fields whose default is None take a sample value of their type
+        value = {"truncation": 3, "out_dir": "records"}.get(field.name, field.default)
+        text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{field.name} = {text}\n")
+        parsed = parse_config_file(str(path))
+        assert parsed == {field.name: value}
+        assert type(parsed[field.name]) is type(value)
+        if isinstance(value, tuple):
+            assert [type(v) for v in parsed[field.name]] == [type(v) for v in value]
+
+    @pytest.mark.parametrize("line, message", [
+        ("sizes = 4, x", "sizes: invalid literal for int() with base 10: 'x'"),
+        ("truncation =", "truncation: invalid literal for int() with base 10: ''"),
+    ], ids=["list", "scalar"])
+    def test_bad_value_names_its_file_and_line(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"gammas = 0.9\n{line}\n")
+        assert main(["k-heatmap", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("mystery = 3\n")
@@ -167,6 +193,28 @@ class TestCli:
         assert code == 0
         assert "degree=3" in capsys.readouterr().out
         assert (tmp_path / "hamiltonian.txt").exists()
+
+    @pytest.mark.parametrize("command, defaults", [
+        (["compile", "--hallway", "5", "--gamma", "0.9", "--truncation", "2"],
+         ["--penalty", repr(CompilerConfig.penalty_strength), "--slip", repr(HALLWAY_SLIP)]),
+        (["quadratize", "--hallway", "6", "--gamma", "0.9"],
+         ["--penalty", repr(ExperimentConfig.penalty_strength),
+          "--m-or", repr(REDUCTION_PENALTY)]),
+        (["anneal", "--hallway", "5", "--gamma", "0.9", "--reads", "20"],
+         ["--penalty", repr(ExperimentConfig.penalty_strength),
+          "--m-or", repr(ExperimentConfig.reduction_penalty),
+          "--sweeps", str(ExperimentConfig.num_sweeps), "--seed", str(ExperimentConfig.seed)]),
+        (["oracle", "--hallway", "4", "--gamma", "0.9", "--qlearning"],
+         ["--alpha", repr(QLearningConfig.learning_rate),
+          "--epsilon", repr(QLearningConfig.epsilon),
+          "--episodes", str(QLearningConfig.num_episodes),
+          "--seed", str(QLearningConfig.rng_seed)]),
+    ], ids=["compile", "quadratize", "anneal", "oracle"])
+    def test_omitted_value_flags_take_the_library_defaults(self, capsys, command, defaults):
+        assert main(command) == 0
+        omitted = capsys.readouterr().out
+        assert main(command + defaults) == 0
+        assert capsys.readouterr().out == omitted
 
     def test_quadratize_from_polynomial_file(self, tmp_path, capsys):
         main(["compile", "--hallway", "6", "--gamma", "0.99", "--truncation", "3",

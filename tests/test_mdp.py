@@ -6,8 +6,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mdpspin.mdp import (Mdp, ParseError, PolicyAssignment, ValidationError,
-                         build_hallway, flat_index, load_mdp, policy_rows, save_mdp,
-                         unflatten_index)
+                         build_hallway, flat_index, load_mdp, policy_rows, save_mdp)
+from oracles import unflatten_index
 
 
 def violations(*args) -> list[str]:
@@ -93,6 +93,15 @@ def test_validate_reports_out_of_range_probability():
     P[1, 0, 1] = 1.0
     report = violations(P, np.zeros((2, 1, 2)), 0.9)
     assert sum("outside [0, 1]" in v for v in report) == 2
+
+
+@pytest.mark.parametrize("shape, missing", [((2, 0, 2), ["actions"]),
+                                            ((0, 1, 0), ["states"]),
+                                            ((0, 0, 0), ["states", "actions"])])
+def test_validate_reports_an_empty_dimension(shape, missing):
+    # an empty model would only fail later, inside a reduction over no entries
+    assert violations(np.zeros(shape), np.zeros(shape), 0.9) == [
+        f"transition tensor has shape {shape}: no {name}" for name in missing]
 
 
 @given(st.integers(0, 9), st.integers(0, 4), st.integers(1, 5))

@@ -9,9 +9,9 @@ import hypothesis.strategies as st
 
 from mdpspin import CompilerConfig, Mdp, build_hallway, compile_hamiltonian
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
-from mdpspin.quadratize import (AncillaRegistry, consistency_violations, lift,
-                                minimized_over_ancillas, project, quadratize,
+from mdpspin.quadratize import (AncillaRegistry, consistency_violations, project, quadratize,
                                 rosenberg_penalty, to_qubo_text)
+from oracles import lift, minimized_over_ancillas
 
 
 @st.composite

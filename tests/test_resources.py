@@ -16,7 +16,8 @@ def test_count_small_quadratic():
     poly.add_term([0], 1.0)
     poly.add_term([1, 2], -2.0)
     poly.add_term([0, 1], 0.5)
-    report = count_resources(quadratize(poly, 5.0))
+    report = count_resources(quadratize(poly, 5.0), truncation=2, discount=0.9,
+                             num_states=3, num_actions=1)
     assert report.logical_variables == 3
     assert report.coefficient_count == 3
     assert report.base_variables == 3
@@ -79,7 +80,8 @@ def test_counts_monotone_in_truncation_order():
     for k in (1, 2, 3, 4):
         ham = compile_hamiltonian(mdp, CompilerConfig(k, 3.0))
         qubo = quadratize(ham.polynomial, 5.0, num_variables=12)
-        report = count_resources(qubo)
+        report = count_resources(qubo, truncation=k, discount=0.9,
+                                 num_states=6, num_actions=2)
         assert report.logical_variables >= previous_v
         assert report.coefficient_count >= previous_j
         previous_v, previous_j = report.logical_variables, report.coefficient_count
