@@ -28,10 +28,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .pseudoboolean import (PseudoBooleanPolynomial, TermTable, all_assignment_energies,
-                           bit_rows, variable_count)
+from .pseudoboolean import (ENERGY_MATCH_TOL, PseudoBooleanPolynomial, TermTable,
+                           all_assignment_energies, bit_rows, variable_count)
 
-ENERGY_MATCH_TOL = 1e-9
+DESIRED_PROBABILITY = 0.99  # the p_d of TTS99
 EXHAUSTIVE_MAX_VARIABLES = 24
 EXHAUSTIVE_MAX_MINIMIZERS = 65536
 
@@ -170,7 +170,7 @@ def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
 def exhaustive_ground_state(poly: PseudoBooleanPolynomial,
                             num_variables: int | None = None
                             ) -> tuple[list[np.ndarray], float]:
-    """All global minimizers (within 1e-9 of the minimum) by full enumeration."""
+    """All global minimizers (within ENERGY_MATCH_TOL of the minimum) by full enumeration."""
     n = variable_count(poly, num_variables)
     if n > EXHAUSTIVE_MAX_VARIABLES:
         raise InstanceTooLargeError(
@@ -187,28 +187,20 @@ def exhaustive_ground_state(poly: PseudoBooleanPolynomial,
 
 
 def success_probability(reads: Sequence[SaRead], ground_energy: float,
-                        match_rule: str = "energy",
-                        target_bits: np.ndarray | None = None,
-                        base_count: int | None = None) -> tuple[float, float]:
+                        target_bits: np.ndarray | None = None) -> tuple[float, float]:
     """Fraction of successful reads with its binomial standard error.
 
-    ``energy`` counts a read as a success when it attains the ground energy
-    within tolerance; ``policy`` compares the first ``base_count`` bits
-    against ``target_bits`` (the reference original-variable assignment).
+    A read succeeds when it attains the ground energy within ENERGY_MATCH_TOL
+    or, when ``target_bits`` is given, when its first ``len(target_bits)``
+    bits equal them (the reference original-variable assignment).
     """
     if not reads:
         raise ValueError("success probability needs at least one read")
-    if match_rule == "energy":
+    if target_bits is None:
         hits = sum(1 for r in reads if abs(r.energy - ground_energy) <= ENERGY_MATCH_TOL)
-    elif match_rule == "policy":
-        if target_bits is None or base_count is None:
-            raise ValueError("policy matching needs target_bits and base_count")
-        ref = np.asarray(target_bits, dtype=np.int8)[:base_count]
-        hits = sum(
-            1 for r in reads if np.array_equal(r.assignment[:base_count], ref)
-        )
     else:
-        raise ValueError(f"unknown match rule {match_rule!r}")
+        ref = np.asarray(target_bits, dtype=np.int8)
+        hits = sum(1 for r in reads if np.array_equal(r.assignment[:ref.size], ref))
     p = hits / len(reads)
     stderr = math.sqrt(p * (1.0 - p) / len(reads))
     return p, stderr
@@ -228,7 +220,7 @@ class TtsEstimate:
         return self.status == "finite"
 
 
-def tts(success_prob: float, effort: float, desired_probability: float = 0.99,
+def tts(success_prob: float, effort: float, desired_probability: float = DESIRED_PROBABILITY,
         std_error: float = 0.0) -> TtsEstimate:
     """Repeated-trial time to solution; degenerate cases carry a status flag."""
     if not (0.0 <= success_prob <= 1.0):
@@ -275,7 +267,7 @@ class TtsSweepResult:
 
 def tts_sweep(poly: PseudoBooleanPolynomial, ground_energy: float,
               sweep_grid: Sequence[int], num_reads: int,
-              desired_probability: float = 0.99, rng_seed: int = 0,
+              desired_probability: float = DESIRED_PROBABILITY, rng_seed: int = 0,
               num_variables: int | None = None) -> TtsSweepResult:
     """Anneal at each sweep count and report TTS with effort n_s * N."""
     n = variable_count(poly, num_variables)

@@ -16,7 +16,7 @@ import math
 import sys
 import typing
 
-from .anneal import exhaustive_ground_state, success_probability
+from .anneal import success_probability
 from .compiler import CompilerConfig, compile_hamiltonian
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import InstanceTooLargeError
@@ -112,7 +112,7 @@ def _cmd_quadratize(args) -> int:
     if args.poly:
         with open(args.poly) as fh:
             poly = PseudoBooleanPolynomial.from_text(fh.read())
-        qubo = quadratize(poly, config.reduction_penalty, num_variables=poly.num_variables)
+        qubo = quadratize(poly, config.reduction_penalty)
     else:
         qubo = prepare(_load_instance(args), config).qubo
     print(f"variables={qubo.num_variables} ancillas={qubo.registry.num_ancillas} "
@@ -127,7 +127,7 @@ def _cmd_anneal(args) -> int:
         raise ValueError(f"{missing} is missing: give both beta flags or neither")
     config = _experiment_config(args)
     inst = prepare(_load_instance(args), config)
-    _, ground = exhaustive_ground_state(inst.ham.polynomial, inst.ham.num_variables)
+    _, ground = inst.ground()
     betas = None if args.beta_start is None else (args.beta_start, args.beta_end)
     schedule, reads, _ = _anneal(inst, config, betas)
     p_s, p_err = success_probability(reads, ground)
@@ -163,8 +163,9 @@ def _cmd_oracle(args) -> int:
         lines.append(f"# exhaustive best action-value sum: {total!r} ties: {len(ties)}")
         lines.append(_policy_line("exhaustive", best))
     if args.qlearning:
+        # only the hallway has known terminal states: its two end tiles
         ql, ql_greedy = q_learning(mdp, QLearningConfig(**_given(args, QLearningConfig)),
-                                   terminal=terminal_states(mdp))
+                                   terminal=() if args.mdp else terminal_states(mdp))
         lines += _q_rows("q_learning", ql)
         lines.append(_policy_line("q-learning greedy", ql_greedy))
     lines.append(_policy_line("value-iteration greedy", greedy))

@@ -31,9 +31,8 @@ from .anneal import EXHAUSTIVE_MAX_VARIABLES
 from .dp import value_iteration
 from .errors import InstanceTooLargeError
 from .mdp import Mdp, PolicyAssignment, flat_index, policy_rows
-from .pseudoboolean import DROP_TOL, PseudoBooleanPolynomial
+from .pseudoboolean import DROP_TOL, ENERGY_MATCH_TOL, PseudoBooleanPolynomial
 
-UNIQUENESS_GAP = 1e-9
 # states of one walk frontier, about 160 B each; two frontiers are alive at once
 FRONTIER_LIMIT = 1_000_000
 
@@ -57,21 +56,14 @@ class CompiledHamiltonian:
     ``objective`` holds the truncated walk-sum terms (orders 1..K),
     ``penalty`` the expanded one-action-per-state terms (including its
     constant), and ``polynomial`` their sum.  ``constant_offset`` is the
-    order-0 term, kept out of the polynomial.
+    order-0 term, kept out of the polynomial, and ``num_variables`` is |S x A|.
     """
 
     objective: PseudoBooleanPolynomial
     penalty: PseudoBooleanPolynomial
     polynomial: PseudoBooleanPolynomial
     constant_offset: float
-    config: CompilerConfig
-    num_states: int
-    num_actions: int
-    discount: float
-
-    @property
-    def num_variables(self) -> int:
-        return self.num_states * self.num_actions
+    num_variables: int
 
 
 def _penalty_polynomial(mdp: Mdp, strength: float) -> PseudoBooleanPolynomial:
@@ -158,10 +150,7 @@ def compile_hamiltonian(mdp: Mdp, config: CompilerConfig) -> CompiledHamiltonian
         penalty=penalty,
         polynomial=objective.add(penalty),
         constant_offset=offset,
-        config=config,
-        num_states=mdp.num_states,
-        num_actions=mdp.num_actions,
-        discount=mdp.discount,
+        num_variables=mdp.num_pairs,
     )
 
 
@@ -213,8 +202,8 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
     function's among feasible assignments at any penalty strength.  Nothing
     is compiled, so FRONTIER_LIMIT does not apply.
 
-    A K qualifies when the best policy beats the runner-up by more than the
-    uniqueness gap, or is the only policy, and its interior actions match
+    A K qualifies when the best policy beats the runner-up by more than
+    ENERGY_MATCH_TOL, or is the only policy, and its interior actions match
     value iteration's greedy policy; returns None when no K <= k_max
     qualifies.  Just past a discount at which the optimal policy changes, the
     least qualifying K rises sharply, because the ground state must resolve a
@@ -235,7 +224,7 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
         order_idx = np.argsort(energies, kind="stable")
         best = order_idx[0]
         # a single policy has no runner-up and is the unique ground state
-        if len(order_idx) > 1 and energies[order_idx[1]] - energies[best] <= UNIQUENESS_GAP:
+        if len(order_idx) > 1 and energies[order_idx[1]] - energies[best] <= ENERGY_MATCH_TOL:
             continue
         if np.array_equal(actions[best, 1:-1], target):
             return k

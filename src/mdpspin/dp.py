@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import InstanceTooLargeError
 from .mdp import Mdp, PolicyAssignment, policy_rows
+from .pseudoboolean import ENERGY_MATCH_TOL
 
 ENUMERATION_LIMIT = 1 << 24
-TIE_TOL = 1e-9
 _BATCH_FLOATS = 1 << 21    # system entries per batch of best_policy_exhaustive, 16 MB
 
 
@@ -68,10 +68,10 @@ def best_policy_exhaustive(mdp: Mdp
     """Policy maximizing the exact action-value sum over all pairs.
 
     Returns the winner, its objective value, and any other policies tied
-    within ``TIE_TOL``, first maximum and ties in lexicographic order.  This
-    objective is exactly minus the untruncated cost functional, so the winner
-    is what the compiled ground state should converge to as the truncation
-    order grows.
+    within ``ENERGY_MATCH_TOL``, first maximum and ties in lexicographic
+    order.  This objective is exactly minus the untruncated cost functional,
+    so the winner is what the compiled ground state should converge to as
+    the truncation order grows.
     """
     n, na = mdp.num_states, mdp.num_actions
     count = na ** n
@@ -85,7 +85,7 @@ def best_policy_exhaustive(mdp: Mdp
         .reshape(-1, mdp.num_pairs).sum(axis=1)
         for lo in range(0, count, batch)])
     best = int(totals.argmax())
-    tied = np.flatnonzero(np.abs(totals - totals[best]) <= TIE_TOL)
+    tied = np.flatnonzero(np.abs(totals - totals[best]) <= ENERGY_MATCH_TOL)
     best_pol, *ties = [PolicyAssignment.from_actions(row, na)
                        for row in policy_rows(n, na, np.r_[best, tied[tied != best]])]
     return best_pol, float(totals[best]), ties

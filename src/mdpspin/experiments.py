@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .anneal import (ENERGY_MATCH_TOL, AnnealSchedule, SaRead, default_beta_range,
+from .anneal import (DESIRED_PROBABILITY, AnnealSchedule, SaRead, default_beta_range,
                      exhaustive_ground_state, simulated_anneal, success_probability,
                      tts_std_error, tts_sweep)
 from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
@@ -26,6 +26,7 @@ from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import InstanceTooLargeError
 from .mdp import HALLWAY_SLIP, Mdp, PolicyAssignment, build_hallway, terminal_states
+from .pseudoboolean import ENERGY_MATCH_TOL
 from .quadratize import (REDUCTION_PENALTY, QuboProblem, consistency_violations, project,
                          quadratize)
 from .resources import count_resources
@@ -46,7 +47,7 @@ class ExperimentConfig:
     num_sweeps: int = 20
     num_reads: int = 1000
     sweep_grid: tuple[int, ...] = (1, 2, 3, 5, 7, 10, 15, 20, 30, 50)
-    desired_probability: float = 0.99
+    desired_probability: float = DESIRED_PROBABILITY
     seed: int = 0
     num_qlearning_seeds: int = 20
     qlearning_episodes: int = QLearningConfig.num_episodes
@@ -59,6 +60,12 @@ class ExperimentConfig:
                              f"choose from {', '.join(EXPERIMENTS)}")
         if self.match_rule not in ("energy", "policy"):
             raise ValueError("match_rule must be 'energy' or 'policy'")
+        for name in ("sizes", "gammas", "sweep_grid", "out_dir"):
+            if getattr(self, name) in ((), ""):
+                raise ValueError(f"{name} must not be empty")
+        for name in ("k_max", "num_qlearning_seeds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -82,6 +89,12 @@ class Instance:
         """The policy bits of a full QUBO assignment."""
         return PolicyAssignment(project(assignment, self.qubo.registry),
                                 self.mdp.num_states, self.mdp.num_actions)
+
+    def ground(self) -> tuple[list, float]:
+        """Minimizers and minimum of the unreduced polynomial, the minimum being
+        the QUBO's ground energy on the rule that the reduction keeps it; at
+        ``M_OR=5`` that is false on ``hallway(10, 0.9)`` K=5 (SA reads fall below)."""
+        return exhaustive_ground_state(self.ham.polynomial, self.ham.num_variables)
 
 
 def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance | None:
@@ -144,10 +157,9 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
     """compile -> quadratize -> (exhaustive + SA) -> project -> DP comparison.
 
-    Exhaustive search runs on the unreduced polynomial (policy bits only);
-    its minimum also serves as the QUBO ground energy because the reduction
-    preserves the minimum.  Agreement requires every exhaustive minimizer to
-    be feasible with interior actions equal to value iteration's.
+    Exhaustive search runs on the unreduced polynomial (``Instance.ground``).
+    Agreement requires every exhaustive minimizer to be feasible with interior
+    actions equal to value iteration's.
     """
     mdp = build_hallway(num_states, gamma, config.slip)
     inst = prepare(mdp, config)
@@ -158,21 +170,17 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
     _, greedy = value_iteration(mdp)
     vi_interior = _interior(greedy)
 
-    minimizers, ground = exhaustive_ground_state(ham.polynomial, ham.num_variables)
+    minimizers, ground = inst.ground()
     policies = [PolicyAssignment(m, num_states, mdp.num_actions) for m in minimizers]
 
     schedule, reads, best = _anneal(inst, config)
     best_policy = inst.policy(best.assignment)
     if config.match_rule == "energy":
         p_s, p_err = success_probability(reads, ground)
+    elif len(minimizers) == 1:
+        p_s, p_err = success_probability(reads, ground, target_bits=minimizers[0])
     else:
-        target = minimizers[0] if len(minimizers) == 1 else None
-        if target is None:
-            p_s, p_err = math.nan, math.nan
-        else:
-            p_s, p_err = success_probability(reads, ground, match_rule="policy",
-                                             target_bits=target,
-                                             base_count=ham.num_variables)
+        p_s, p_err = math.nan, math.nan
     record = {
         "experiment": "solve",
         "config": config.as_dict(),
@@ -244,17 +252,15 @@ def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
             if inst is None:
                 out.append({"num_states": size, "gamma": gamma, "status": "no-truncation"})
                 continue
-            ham, qubo = inst.ham, inst.qubo
-            # ground energy of the QUBO equals the unreduced minimum
-            ground = exhaustive_ground_state(ham.polynomial, ham.num_variables)[1]
+            ground = inst.ground()[1]
         except InstanceTooLargeError as e:
             out.append({"num_states": size, "gamma": gamma, "status": f"unavailable: {e}"})
             continue
-        result = tts_sweep(qubo.polynomial, ground, config.sweep_grid,
+        result = tts_sweep(inst.qubo.polynomial, ground, config.sweep_grid,
                            config.num_reads, config.desired_probability,
-                           rng_seed=config.seed, num_variables=qubo.num_variables)
+                           rng_seed=config.seed, num_variables=inst.qubo.num_variables)
         out.append({"num_states": size, "gamma": gamma, "truncation": inst.truncation,
-                    "variables": qubo.num_variables, "ground_energy": ground,
+                    "variables": inst.qubo.num_variables, "ground_energy": ground,
                     "result": result, "status": "ok"})
     rows = []
     for item in out:
@@ -323,8 +329,7 @@ def run_oracle_compare(config: ExperimentConfig, num_states: int, gamma: float) 
     best_pol, _, _ = best_policy_exhaustive(mdp)
     exhaustive_dp = _interior(best_pol)
 
-    minimizers, ground = exhaustive_ground_state(inst.ham.polynomial,
-                                                 inst.ham.num_variables)
+    minimizers, ground = inst.ground()
     _, _, best = _anneal(inst, config)
 
     terminals = terminal_states(mdp)

@@ -23,6 +23,7 @@ from .errors import InstanceTooLargeError
 Monomial = tuple[int, ...]
 
 DROP_TOL = 1e-12
+ENERGY_MATCH_TOL = 1e-9  # energies this close are equal: ties, gaps and hits
 
 
 def normalize_monomial(variables: Iterable[int]) -> Monomial:

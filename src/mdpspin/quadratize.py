@@ -59,7 +59,6 @@ class AncillaRegistry:
 class QuboProblem:
     polynomial: PseudoBooleanPolynomial
     registry: AncillaRegistry
-    reduction_penalty: float
 
     @property
     def num_variables(self) -> int:
@@ -164,8 +163,7 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = REDUCTI
 
     work.num_variables = z
     registry = AncillaRegistry(base_count=base, entries=tuple(entries))
-    return QuboProblem(polynomial=work, registry=registry,
-                       reduction_penalty=float(reduction_penalty))
+    return QuboProblem(polynomial=work, registry=registry)
 
 
 def project(full_assignment, registry: AncillaRegistry) -> np.ndarray:

@@ -29,7 +29,6 @@ class ResourceReport:
     logical_variables: int
     coefficient_count: int
     truncation: int
-    discount: float
     fit_value: float
     qaoa_gate_volume_worst: GateVolume
     qaoa_gate_volume_ancilla: GateVolume
@@ -46,7 +45,6 @@ def count_resources(qubo: QuboProblem, *, truncation: int, discount: float,
         logical_variables=len(used),
         coefficient_count=sum(1 for m in qubo.polynomial.terms if m),
         truncation=truncation,
-        discount=discount,
         fit_value=scaling_fit(num_states, num_actions, truncation, discount),
         qaoa_gate_volume_worst=qaoa_gate_volume(num_states, num_actions, truncation,
                                                 1, "worst"),

@@ -265,12 +265,8 @@ class TestSuccessProbability:
     def test_policy_match_rule(self):
         reads = simulated_anneal(single_negative_variable(),
                                  AnnealSchedule(1, 1e9, 1e9, num_reads=5, rng_seed=0))
-        p, _ = success_probability(reads, -1.0, match_rule="policy",
-                                   target_bits=np.array([1], dtype=np.int8),
-                                   base_count=1)
+        p, _ = success_probability(reads, -1.0, target_bits=np.array([1], dtype=np.int8))
         assert p == 1.0
-        with pytest.raises(ValueError):
-            success_probability(reads, -1.0, match_rule="policy")
 
 
 class TestTts:

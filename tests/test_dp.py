@@ -6,10 +6,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mdpspin import dp
-from mdpspin.dp import (ENUMERATION_LIMIT, TIE_TOL, QLearningConfig, best_policy_exhaustive,
+from mdpspin.dp import (ENUMERATION_LIMIT, QLearningConfig, best_policy_exhaustive,
                         policy_evaluation_exact, q_learning, value_iteration)
 from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, policy_rows, terminal_states
+from mdpspin.pseudoboolean import ENERGY_MATCH_TOL
 from oracles import bellman_residual
 
 
@@ -109,7 +110,7 @@ def reference_best(mdp):
         scored.append((total, pol))
         if total > best_val:
             best_val, best_pol = total, pol
-    ties = [p for v, p in scored if abs(v - best_val) <= TIE_TOL and p is not best_pol]
+    ties = [p for v, p in scored if abs(v - best_val) <= ENERGY_MATCH_TOL and p is not best_pol]
     return best_pol, best_val, ties
 
 

@@ -163,6 +163,22 @@ class TestConfigFile:
         assert main(["k-heatmap", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
 
+    @pytest.mark.parametrize("command, line", [
+        ("k-heatmap", "sizes ="),
+        ("k-heatmap", "gammas ="),
+        ("k-heatmap", "k_max = -1"),
+        ("tts-sweep", "sweep_grid ="),
+        ("k-heatmap", "out_dir ="),
+        ("oracle-compare", "num_qlearning_seeds = 0"),
+    ], ids=lambda v: v.split()[0] if "=" in v else v)
+    def test_out_of_range_value_names_its_field(self, tmp_path, capsys, command, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{line}\n")
+        assert main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {line.split()[0]} must ")
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("mystery = 3\n")
@@ -289,6 +305,22 @@ class TestCli:
                      "--episodes", "500", "--seed", "2"])
         assert code == 0
         assert "q_learning,0,0," in capsys.readouterr().out
+
+    def test_oracle_qlearning_on_a_loaded_model_has_no_terminal_states(self, tmp_path,
+                                                                        capsys):
+        # action 1 earns +1 by staying in state 0 or 2, action 0 leads toward state 1;
+        # treating the end states as terminal would stop every episode before a reward
+        transition = [[[0, 1, 0], [1, 0, 0]], [[1, 0, 0], [0, 0, 1]],
+                      [[0, 1, 0], [0, 0, 1]]]
+        reward = [[[0, 0, 0], [1, 0, 0]], [[0, 0, 0], [0, 0, 0]],
+                  [[0, 0, 0], [0, 0, 1]]]
+        doc = tmp_path / "loop.json"
+        doc.write_text(json.dumps({"num_states": 3, "num_actions": 2, "discount": 0.9,
+                                   "transition": transition, "reward": reward}))
+        assert main(["oracle", "--mdp", str(doc), "--qlearning", "--episodes", "3000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "# q-learning greedy policy: 1 0 1" in lines
+        assert "# value-iteration greedy policy: 1 0 1" in lines
 
     def test_solve_subcommand(self, capsys):
         code = main(["solve", "--num-states", "6", "--gamma", "0.99",

@@ -339,7 +339,7 @@ class TestQuboText:
         from mdpspin.quadratize import QuboProblem
 
         poly = PseudoBooleanPolynomial(3).add_term([0, 1, 2], 1.0)
-        fake = QuboProblem(poly, AncillaRegistry(3), 5.0)
+        fake = QuboProblem(poly, AncillaRegistry(3))
         with pytest.raises(ValueError):
             to_qubo_text(fake)
 
