@@ -8,10 +8,11 @@ with ``git archive`` into its own temporary directory, and every run is
 ``BENCHMARK.json``.  For each workload, PAIRS pairs at seed SEED run the two
 sides once each with tracing off, alternating which side runs first.  The
 file holds each side's runs, median and quartiles of every end-to-end
-metric, the failed share, and the pairs the change won.  One traced
-``qubo-build`` run per side at ``--trace-seed`` adds the per-layer metrics.
-The trace seed has no default: pick one the change was not tuned on, so
-its per-layer numbers are not the ones it was built against.
+metric, the failed share, and the pairs the change won.  One traced run of
+every workload per side at ``--trace-seed`` adds the per-layer metrics,
+under ``traced`` by workload.  The trace seed has no default: pick one the
+change was not tuned on, so its per-layer numbers are not the ones it was
+built against.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ def main(argv=None) -> int:
         for side, revision in (("parent", args.parent), ("change", args.change)):
             checkouts[side] = Path(tmp) / side
             commits[side] = export(revision, checkouts[side])
+        names = [w["name"] for w in spec["workloads"]]
         workloads = {}
-        for workload in (w["name"] for w in spec["workloads"]):
+        for workload in names:
             results = {"parent": [], "change": []}
             for pair in range(PAIRS):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -100,17 +102,18 @@ def main(argv=None) -> int:
                                           entry["change"][name]["runs"]))
                 for name, better in metrics.items()}
             workloads[workload] = entry
-        traced = {side: run(checkouts[side], "qubo-build", args.trace_seed, seconds,
-                            trace=1)["metrics"] for side in checkouts}
+        traced = {workload: {side: {name: m["value"] for name, m in
+                                    run(checkouts[side], workload, args.trace_seed,
+                                        seconds, trace=1)["metrics"].items()}
+                             for side in checkouts}
+                  for workload in names}
 
     record = {
         "parent": commits["parent"], "commit": commits["change"],
         "python": platform.python_version(), "numpy": np.__version__,
         "cpu_count": os.cpu_count(), "run_seconds": seconds, "seed": SEED,
         "pairs": PAIRS, "workloads": workloads,
-        "traced_qubo_build": {"seed": args.trace_seed,
-                              **{side: {name: m["value"] for name, m in traced[side].items()}
-                                 for side in traced}},
+        "trace_seed": args.trace_seed, "traced": traced,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -2,15 +2,17 @@
 
 Exhaustive search and the Metropolis annealer both read a polynomial of any
 degree through its ``TermTable``: the search scans every assignment as one
-product between two halves' term activities, and the annealer advances all
-reads in lockstep with a per-read count of each term's zero variables.  The
-annealer's state is term-major, one row per term or variable and one column
-per read, and a sweep updates one dependency level of variables per numpy
+product between two halves' term activities.  The annealer advances all
+reads in lockstep and splits each variable's field in two: the degree-1 and
+degree-2 terms give one product of a dense coupling matrix with the state,
+and only the terms of degree 3 or more keep a per-read count of their zero
+variables.  A sweep updates one dependency level of variables per numpy
 step.  The levels come from a plan built once per call: variables that share
 a term of any degree are neighbours, and a variable's level is one more than
 the highest level among its earlier-index neighbours.  A level's variables
 thus share no term and see every earlier neighbour already updated, so the
-level sweep is the index-order sweep, read for read.  Time to solution
+level sweep is the index-order sweep, read for read.  The state holds the
+variables in level order, so that a level is a slice of it.  Time to solution
 follows the standard repeated-trial formula
 
     TTS(t) = t * ln(1 - p_d) / ln(1 - p_s)
@@ -79,42 +81,60 @@ class SaRead:
 
 
 class _Level(NamedTuple):
-    """One dependency level of the sweep: its variables, the concatenated ids
-    of their terms, the position in ``variables`` that owns each term and the
-    (variables, terms) block holding each term's coefficient in its owner's row."""
+    """One dependency level of the sweep.  ``rows`` is its slice of the
+    level-ordered state and ``coupling`` the same rows of the plan's coupling
+    matrix.  ``terms`` are the rows of ``missing`` (terms of degree 3 or more)
+    that its variables own, ``owner`` the position in ``rows`` owning each, and
+    ``coeffs`` the (variables, terms) block holding each term's coefficient in
+    its owner's row."""
 
-    variables: np.ndarray
+    rows: slice
+    coupling: np.ndarray
     terms: np.ndarray
     owner: np.ndarray
     coeffs: np.ndarray
 
 
-def _level_plan(table: TermTable) -> list[_Level]:
-    """Group the variables into dependency levels for the sweep.
+def _level_plan(table: TermTable) -> tuple[np.ndarray, np.ndarray, list[_Level]]:
+    """The variables in level order, the ids of the terms of degree 3 or more
+    and the sweep's dependency levels.
 
     Two variables are neighbours when they share a term of any degree.  A
     variable's level is one more than the highest level among its
     earlier-index neighbours (0 when it has none), so no two variables of a
     level share a term and every earlier neighbour of a variable sits in a
     lower level.  ``top[t]`` is the highest level assigned so far to a
-    variable of term t.
+    variable of term t.  The coupling matrix is (n, n + 1) in level order:
+    row p holds, for the variable at position p, the coefficient of each
+    degree-2 term in the column of its other variable and the coefficient of
+    its degree-1 term in the last column.
     """
-    var_terms = [np.flatnonzero(row) for row in table.incidence]
-    level = np.zeros(len(var_terms), dtype=np.intp)
+    n = table.incidence.shape[0]
+    level = np.zeros(n, dtype=np.intp)
     top = np.full(table.coeffs.size, -1, dtype=np.intp)
-    for v, ts in enumerate(var_terms):
+    for v, row in enumerate(table.incidence):
+        ts = np.flatnonzero(row)
         level[v] = top[ts].max(initial=-1) + 1
         top[ts] = level[v]
-    plan = []
-    for lvl in range(level.max(initial=-1) + 1):
-        variables = np.flatnonzero(level == lvl)
-        counts = [var_terms[v].size for v in variables]
-        terms = np.concatenate([var_terms[v] for v in variables])
-        owner = np.repeat(np.arange(variables.size), counts)
-        coeffs = np.zeros((variables.size, terms.size))
-        coeffs[owner, np.arange(terms.size)] = table.coeffs[terms]
-        plan.append(_Level(variables, terms, owner, coeffs))
-    return plan
+    order = np.argsort(level, kind="stable")
+    rank = np.argsort(order)
+    coupling = np.zeros((n, n + 1))
+    linear = np.flatnonzero(table.sizes == 1)
+    coupling[rank[np.nonzero(table.incidence[:, linear].T)[1]], n] = table.coeffs[linear]
+    # a degree-2 term's two variables, in the order np.nonzero lists them
+    pairs = np.flatnonzero(table.sizes == 2)
+    u, w = rank[np.nonzero(table.incidence[:, pairs].T)[1].reshape(-1, 2).T]
+    coupling[u, w] = coupling[w, u] = table.coeffs[pairs]
+    high = np.flatnonzero(table.sizes >= 3)
+    high_incidence = table.incidence[np.ix_(order, high)]
+    bounds = np.searchsorted(level[order], np.arange(level.max(initial=-1) + 2))
+    levels = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        owner, terms = np.nonzero(high_incidence[start:stop])
+        coeffs = np.zeros((stop - start, terms.size))
+        coeffs[owner, np.arange(terms.size)] = table.coeffs[high[terms]]
+        levels.append(_Level(slice(start, stop), coupling[start:stop], terms, owner, coeffs))
+    return order, high, levels
 
 
 def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
@@ -124,47 +144,58 @@ def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
 
     Each read starts from a random assignment and runs ``num_sweeps`` sweeps at
     linearly interpolated beta, attempting a flip of every variable per sweep
-    in fixed index order.  The state is term-major: ``x[v, r]`` is variable v
-    in read r and ``missing[t, r]`` counts the variables of term t that are 0
-    in read r, so the field of v sums the coefficients of v's terms with
-    ``missing == 1 - x_v``.  A sweep updates one level of ``_level_plan``
-    per numpy step.  A level's variables share no term and each one's
-    earlier-index neighbours sit in lower levels, so every variable sees the
-    state that the one-variable-at-a-time index-order sweep would show it.
-    One generator seeded with ``rng_seed`` draws the (reads, n) starts, then
-    a (reads, n) block of uniforms per sweep, of which variable v reads
-    column v: a run is reproducible from ``(rng_seed, num_reads)``.
-    ``debug_check`` compares each flip energy of a level with a full
-    re-evaluation at the level's starting state.
+    in fixed index order.  The state ``x`` is float64 (n + 1, reads), its
+    rows the variables in the plan's level order and its last row all ones.
+    A level's fields are ``level.coupling @ x``, the degree-1 and degree-2
+    terms, plus the terms of degree 3 or more: ``missing[t, r]`` counts the
+    variables of such a term t that are 0 in read r, and v gains the
+    coefficient of each of its terms with ``missing == 1 - x_v``.  A level
+    with no such term skips that part, as every level of a QUBO does.  A
+    sweep updates one level of ``_level_plan`` per numpy step.  A level's
+    variables share no term and each one's earlier-index neighbours sit in
+    lower levels, so every variable sees the state that the
+    one-variable-at-a-time index-order sweep would show it.  One generator
+    seeded with ``rng_seed`` draws the (reads, n) starts, then a (reads, n)
+    block of uniforms per sweep, of which variable v reads column v: a run
+    is reproducible from ``(rng_seed, num_reads)``.  ``debug_check``
+    compares each flip energy of a level with a full re-evaluation, in the
+    original variable order, at the level's starting state.
     """
     table = TermTable(poly, num_variables)
-    plan = _level_plan(table)
+    order, high, levels = _level_plan(table)
     rng = np.random.default_rng(schedule.rng_seed)
-    n = table.incidence.shape[0]
-    starts = rng.integers(0, 2, size=(schedule.num_reads, n), dtype=np.int8)
-    missing = np.ascontiguousarray((table.sizes - table.set_counts(starts)).T)
-    x = np.ascontiguousarray(starts.T)
+    n, reads = order.size, schedule.num_reads
+    starts = rng.integers(0, 2, size=(reads, n), dtype=np.int8)
+    x = np.ones((n + 1, reads))
+    x[:n] = starts.T[order]
+    missing = np.ascontiguousarray((table.sizes[high] - table.set_counts(starts, high)).T)
+    rank = np.argsort(order)  # x[rank] is the state in variable order
     for beta in schedule.betas():
-        uniforms = np.ascontiguousarray(rng.random((schedule.num_reads, n)).T)
-        for level in plan:
-            xl = x[level.variables]
-            xo = xl[level.owner]
-            field = level.coeffs @ (missing[level.terms] == 1 - xo)
-            delta = np.where(xl, -field, field)
+        uniforms = rng.random((reads, n)).T[order]
+        for level in levels:
+            xl = x[level.rows]
+            field = level.coupling @ x
+            if level.terms.size:
+                xo = xl.astype(np.int8)[level.owner]
+                field += level.coeffs @ (missing[level.terms] == 1 - xo)
+            sign = 1.0 - 2.0 * xl
+            delta = field * sign
             if debug_check:
                 # the level's variables share no term: each delta is a single flip's
-                base = table.energies(x.T)
-                for i, v in enumerate(level.variables):
-                    flipped = x.copy()
+                state = x[rank].astype(np.int8)
+                base = table.energies(state.T)
+                for i, v in enumerate(order[level.rows]):
+                    flipped = state.copy()
                     flipped[v] ^= 1
                     np.testing.assert_allclose(
                         delta[i], table.energies(flipped.T) - base, rtol=0, atol=1e-9,
                         err_msg=f"incremental dE != full re-evaluation for variable {v}")
-            accept = uniforms[level.variables] < np.exp(-beta * np.maximum(delta, 0.0))
-            missing[level.terms] += (2 * xo - 1) * accept[level.owner]
-            x[level.variables] ^= accept
-    reads = np.ascontiguousarray(x.T)
-    return [SaRead(assignment=a, energy=float(e)) for a, e in zip(reads, table.energies(reads))]
+            step = sign * (uniforms[level.rows] < np.exp(-beta * np.maximum(delta, 0.0)))
+            if level.terms.size:
+                missing[level.terms] -= step.astype(np.int8)[level.owner]
+            x[level.rows] += step
+    state = np.ascontiguousarray(x[rank].T, dtype=np.int8)
+    return [SaRead(assignment=a, energy=float(e)) for a, e in zip(state, table.energies(state))]
 
 
 def exhaustive_ground_state(poly: PseudoBooleanPolynomial,
@@ -197,7 +228,8 @@ def success_probability(reads: Sequence[SaRead], ground_energy: float,
     if not reads:
         raise ValueError("success probability needs at least one read")
     if target_bits is None:
-        hits = sum(1 for r in reads if abs(r.energy - ground_energy) <= ENERGY_MATCH_TOL)
+        energies = np.fromiter((r.energy for r in reads), np.float64, len(reads))
+        hits = int(np.count_nonzero(np.abs(energies - ground_energy) <= ENERGY_MATCH_TOL))
     else:
         ref = np.asarray(target_bits, dtype=np.int8)
         hits = sum(1 for r in reads if np.array_equal(r.assignment[:ref.size], ref))

@@ -153,14 +153,15 @@ class TermTable:
         cols = np.repeat(np.arange(len(monos)), self.sizes)
         self.incidence[[v for mono in monos for v in mono], cols] = 1
 
-    def set_counts(self, assignments) -> np.ndarray:
-        """Each 0/1 row's count of set variables in every term.
+    def set_counts(self, assignments, terms=slice(None)) -> np.ndarray:
+        """Each 0/1 row's count of set variables in every term (or in ``terms``).
 
         The product runs in float32, which is exact: every partial sum is an
         integer no larger than a term's degree.  It is many times faster than
         numpy's integer matmul, which does not use BLAS.
         """
-        counts = np.asarray(assignments, np.float32) @ self.incidence.astype(np.float32)
+        counts = (np.asarray(assignments, np.float32)
+                  @ self.incidence[:, terms].astype(np.float32))
         return counts.astype(self.sizes.dtype)
 
     def energies(self, assignments) -> np.ndarray:

@@ -202,29 +202,79 @@ class TestLevelSweep:
                 simulated_anneal(qubo.polynomial, schedule, num_variables=qubo.num_variables),
                 reference_anneal(qubo.polynomial, schedule, num_variables=qubo.num_variables))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_index_order_sweep_on_a_native_degree_three_polynomial(self, seed):
+        ham = compile_hamiltonian(build_hallway(6, 0.99), CompilerConfig(3, 3.0))
+        assert ham.polynomial.degree() == 3
+        b0, b1 = default_beta_range(ham.polynomial)
+        schedule = AnnealSchedule(8, b0, b1, num_reads=30, rng_seed=seed)
+        assert_same_reads(
+            simulated_anneal(ham.polynomial, schedule, num_variables=ham.num_variables),
+            reference_anneal(ham.polynomial, schedule, num_variables=ham.num_variables))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_index_order_sweep_with_only_degree_three_and_four_terms(self, seed):
+        # no coupling at all: every field comes from the per-term counts
+        rng = np.random.default_rng(seed)
+        poly = PseudoBooleanPolynomial(9)
+        for _ in range(12):
+            mono = rng.choice(9, size=rng.integers(3, 5), replace=False)
+            poly.add_term(mono, rng.normal())
+        assert {len(mono) for mono in poly.terms} == {3, 4}
+        schedule = AnnealSchedule(6, 0.2, 3.0, num_reads=25, rng_seed=seed)
+        assert_same_reads(simulated_anneal(poly, schedule),
+                          reference_anneal(poly, schedule))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_matches_the_index_order_sweep_with_no_variable_in_any_term(self, n, seed):
+        poly = PseudoBooleanPolynomial(0, {(): -0.5})
+        schedule = AnnealSchedule(3, 0.1, 1.0, num_reads=7, rng_seed=seed)
+        assert_same_reads(simulated_anneal(poly, schedule, num_variables=n),
+                          reference_anneal(poly, schedule, num_variables=n))
+
     @given(integer_polynomials())
     @settings(max_examples=60, deadline=None)
     def test_level_plan_orders_every_dependency(self, case):
         poly, n = case
         table = TermTable(poly, n)
-        plan = _level_plan(table)
-        level = np.full(n, -1)
-        for lvl, step in enumerate(plan):
-            assert (level[step.variables] == -1).all()
-            level[step.variables] = lvl
+        order, high, levels = _level_plan(table)
+        # the level slices cover every variable once, in order
+        assert sorted(order) == list(range(n))
+        bounds = [0] + [lv.rows.stop for lv in levels]
+        assert [lv.rows for lv in levels] == [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        assert bounds[-1] == n
+        level = np.empty(n, dtype=int)
+        for lvl, step in enumerate(levels):
+            level[order[step.rows]] = lvl
             # no two variables of a level share a term
-            assert np.unique(step.terms).size == step.terms.size
-            for i, v in enumerate(step.variables):
-                own = step.terms[step.owner == i]
-                np.testing.assert_array_equal(own, np.flatnonzero(table.incidence[v]))
-                np.testing.assert_array_equal(step.coeffs[i, step.owner == i],
-                                              table.coeffs[own])
-                assert not step.coeffs[i, step.owner != i].any()
-        assert (level >= 0).all()
+            assert (table.incidence[order[step.rows]].sum(axis=0) <= 1).all()
         shared = table.incidence.astype(int) @ table.incidence.T.astype(int) > 0
         for v in range(n):
             earlier = np.flatnonzero(shared[v, :v])
             assert (level[earlier] < level[v]).all()
+        # the coupling holds the degree-1 and degree-2 terms in level order
+        expected = np.zeros((n, n + 1))
+        for (mono, coeff), size in zip(poly.terms.items(), table.sizes):
+            if size == 1:
+                expected[mono[0], n] = coeff
+            elif size == 2:
+                expected[mono[0], mono[1]] = expected[mono[1], mono[0]] = coeff
+        columns = np.append(order, n)
+        for step in levels:
+            np.testing.assert_array_equal(step.coupling,
+                                          expected[order[step.rows]][:, columns])
+        # each owner's row of the degree-3-and-up block holds its terms' coefficients
+        np.testing.assert_array_equal(high, np.flatnonzero(table.sizes >= 3))
+        for step in levels:
+            assert np.unique(step.terms).size == step.terms.size
+            for i, v in enumerate(order[step.rows]):
+                own = high[step.terms[step.owner == i]]
+                np.testing.assert_array_equal(
+                    own, np.flatnonzero(table.incidence[v] & (table.sizes >= 3)))
+                np.testing.assert_array_equal(step.coeffs[i, step.owner == i],
+                                              table.coeffs[own])
+                assert not step.coeffs[i, step.owner != i].any()
 
     def test_constant_only_polynomial(self):
         poly = PseudoBooleanPolynomial(0, {(): 1.5})
