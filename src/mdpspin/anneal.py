@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InstanceTooLargeError
 from .pseudoboolean import (ENERGY_MATCH_TOL, PseudoBooleanPolynomial, TermTable,
-                           all_assignment_energies, bit_rows, variable_count)
+                           all_assignment_energies, bit_rows)
 
 DESIRED_PROBABILITY = 0.99  # the p_d of TTS99
 EXHAUSTIVE_MAX_VARIABLES = 24
@@ -74,8 +74,7 @@ def default_beta_range(poly: PseudoBooleanPolynomial) -> tuple[float, float]:
     return math.log(2.0) / d_max, math.log(100.0) / d_min
 
 
-@dataclass(frozen=True)
-class SaRead:
+class SaRead(NamedTuple):
     assignment: np.ndarray
     energy: float
 
@@ -195,14 +194,14 @@ def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
                 missing[level.terms] -= step.astype(np.int8)[level.owner]
             x[level.rows] += step
     state = np.ascontiguousarray(x[rank].T, dtype=np.int8)
-    return [SaRead(assignment=a, energy=float(e)) for a, e in zip(state, table.energies(state))]
+    return list(map(SaRead, state, table.energies(state).tolist()))
 
 
-def exhaustive_ground_state(poly: PseudoBooleanPolynomial,
-                            num_variables: int | None = None
+def exhaustive_ground_state(poly: PseudoBooleanPolynomial
                             ) -> tuple[list[np.ndarray], float]:
-    """All global minimizers (within ENERGY_MATCH_TOL of the minimum) by full enumeration."""
-    n = variable_count(poly, num_variables)
+    """All global minimizers (within ENERGY_MATCH_TOL of the minimum) by full
+    enumeration of the polynomial's ``num_variables`` variables."""
+    n = poly.num_variables
     if n > EXHAUSTIVE_MAX_VARIABLES:
         raise InstanceTooLargeError(
             f"{n} variables exceed the exhaustive limit of {EXHAUSTIVE_MAX_VARIABLES}"
@@ -232,7 +231,8 @@ def success_probability(reads: Sequence[SaRead], ground_energy: float,
         hits = int(np.count_nonzero(np.abs(energies - ground_energy) <= ENERGY_MATCH_TOL))
     else:
         ref = np.asarray(target_bits, dtype=np.int8)
-        hits = sum(1 for r in reads if np.array_equal(r.assignment[:ref.size], ref))
+        leading = np.array([r.assignment[:ref.size] for r in reads])
+        hits = int(np.count_nonzero((leading == ref).all(axis=1)))
     p = hits / len(reads)
     stderr = math.sqrt(p * (1.0 - p) / len(reads))
     return p, stderr
@@ -299,16 +299,17 @@ class TtsSweepResult:
 
 def tts_sweep(poly: PseudoBooleanPolynomial, ground_energy: float,
               sweep_grid: Sequence[int], num_reads: int,
-              desired_probability: float = DESIRED_PROBABILITY, rng_seed: int = 0,
-              num_variables: int | None = None) -> TtsSweepResult:
-    """Anneal at each sweep count and report TTS with effort n_s * N."""
-    n = variable_count(poly, num_variables)
+              desired_probability: float = DESIRED_PROBABILITY,
+              rng_seed: int = 0) -> TtsSweepResult:
+    """Anneal at each sweep count and report TTS with effort n_s * N, N being
+    the polynomial's ``num_variables``."""
+    n = poly.num_variables
     b0, b1 = default_beta_range(poly)
     rows: list[TtsSweepRow] = []
     for ns in sweep_grid:
         schedule = AnnealSchedule(num_sweeps=int(ns), beta_start=b0, beta_end=b1,
                                   num_reads=num_reads, rng_seed=rng_seed)
-        reads = simulated_anneal(poly, schedule, num_variables=n)
+        reads = simulated_anneal(poly, schedule)
         p, err = success_probability(reads, ground_energy)
         rows.append(TtsSweepRow(int(ns), tts(p, float(ns * n), desired_probability, err)))
     finite = [r for r in rows if r.estimate.is_finite]

@@ -31,9 +31,8 @@ from .quadratize import consistency_violations, quadratize, to_qubo_text
 
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; '#' comments; lists comma-separated.  A key is an
-    ``ExperimentConfig`` field but ``experiment``, read as its field's type."""
+    ``ExperimentConfig`` field, read as its field's type."""
     hints = typing.get_type_hints(ExperimentConfig)
-    del hints["experiment"]  # the subcommand names the experiment
     values: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -252,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--num-reads", type=int, dest="num_reads")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", dest="out_dir", help="output directory")
-        p.set_defaults(func=_cmd_single if single else _cmd_grid, experiment=name)
+        p.set_defaults(func=_cmd_single if single else _cmd_grid)
 
     args = parser.parse_args(argv)
     try:
@@ -268,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _cmd_single(args) -> int:
     config = _experiment_config(args)
-    runner = run_solve if config.experiment == "solve" else run_oracle_compare
+    runner = run_solve if args.command == "solve" else run_oracle_compare
     record = runner(config, args.num_states, args.gamma)
     print(json.dumps(record, indent=1, default=str))
     return 0
@@ -276,12 +275,12 @@ def _cmd_single(args) -> int:
 
 def _cmd_grid(args) -> int:
     config = _experiment_config(args)
-    if config.experiment == "k-heatmap":
+    if args.command == "k-heatmap":
         rows = run_k_heatmap(config)
         for r in rows:
             print(f"|S|={r['num_states']} gamma={r['gamma']}: "
                   f"K={r['minimal_k']} ({r['status']})")
-    elif config.experiment == "tts-sweep":
+    elif args.command == "tts-sweep":
         items = run_tts_sweep(config)
         for item in items:
             if item["status"] != "ok":

@@ -53,14 +53,13 @@ class CompilerConfig:
 class CompiledHamiltonian:
     """Compiled cost function over |S x A| policy bits.
 
-    ``objective`` holds the truncated walk-sum terms (orders 1..K),
-    ``penalty`` the expanded one-action-per-state terms (including its
-    constant), and ``polynomial`` their sum.  ``constant_offset`` is the
-    order-0 term, kept out of the polynomial, and ``num_variables`` is |S x A|.
+    ``objective`` holds the truncated walk-sum terms (orders 1..K) and
+    ``polynomial`` their sum with the expanded one-action-per-state penalty
+    (including its constant).  ``constant_offset`` is the order-0 term, kept
+    out of the polynomial, and ``num_variables`` is |S x A|.
     """
 
     objective: PseudoBooleanPolynomial
-    penalty: PseudoBooleanPolynomial
     polynomial: PseudoBooleanPolynomial
     constant_offset: float
     num_variables: int
@@ -142,14 +141,10 @@ def compile_hamiltonian(mdp: Mdp, config: CompilerConfig) -> CompiledHamiltonian
         frontier = nxt
 
     objective = _mask_polynomial(coeffs, mdp.num_pairs)
-
-    penalty = _penalty_polynomial(mdp, config.penalty_strength)
-    offset = -float(er.sum())
     return CompiledHamiltonian(
         objective=objective,
-        penalty=penalty,
-        polynomial=objective.add(penalty),
-        constant_offset=offset,
+        polynomial=objective.add(_penalty_polynomial(mdp, config.penalty_strength)),
+        constant_offset=-float(er.sum()),
         num_variables=mdp.num_pairs,
     )
 

@@ -31,12 +31,9 @@ from .quadratize import (REDUCTION_PENALTY, QuboProblem, consistency_violations,
                          quadratize)
 from .resources import count_resources
 
-EXPERIMENTS = ("solve", "k-heatmap", "tts-sweep", "resources", "oracle-compare")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str = "solve"
     sizes: tuple[int, ...] = (4, 5, 6, 7, 8)
     gammas: tuple[float, ...] = (0.6, 0.7, 0.8, 0.9)
     slip: float = HALLWAY_SLIP
@@ -55,9 +52,6 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; "
-                             f"choose from {', '.join(EXPERIMENTS)}")
         if self.match_rule not in ("energy", "policy"):
             raise ValueError("match_rule must be 'energy' or 'policy'")
         for name in ("sizes", "gammas", "sweep_grid", "out_dir"):
@@ -67,8 +61,9 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def as_dict(self, experiment: str) -> dict:
+        """The fields, after the name of the ``experiment`` that ran them."""
+        return {"experiment": experiment, **dataclasses.asdict(self)}
 
 
 def _interior(policy: PolicyAssignment) -> list[int] | None:
@@ -94,7 +89,7 @@ class Instance:
         """Minimizers and minimum of the unreduced polynomial, the minimum being
         the QUBO's ground energy on the rule that the reduction keeps it; at
         ``M_OR=5`` that is false on ``hallway(10, 0.9)`` K=5 (SA reads fall below)."""
-        return exhaustive_ground_state(self.ham.polynomial, self.ham.num_variables)
+        return exhaustive_ground_state(self.ham.polynomial)
 
 
 def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance | None:
@@ -110,8 +105,7 @@ def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance | None:
         if k is None:
             return None
     ham = compile_hamiltonian(mdp, CompilerConfig(k, config.penalty_strength))
-    qubo = quadratize(ham.polynomial, config.reduction_penalty,
-                      num_variables=ham.num_variables)
+    qubo = quadratize(ham.polynomial, config.reduction_penalty)
     return Instance(mdp, k, ham, qubo)
 
 
@@ -130,8 +124,7 @@ def _anneal(inst: Instance, config: ExperimentConfig,
     beta0, beta1 = betas or default_beta_range(inst.qubo.polynomial)
     schedule = AnnealSchedule(config.num_sweeps, beta0, beta1,
                               num_reads=config.num_reads, rng_seed=config.seed)
-    reads = simulated_anneal(inst.qubo.polynomial, schedule,
-                             num_variables=inst.qubo.num_variables)
+    reads = simulated_anneal(inst.qubo.polynomial, schedule)
     return schedule, reads, min(reads, key=lambda r: r.energy)
 
 
@@ -183,7 +176,7 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
         p_s, p_err = math.nan, math.nan
     record = {
         "experiment": "solve",
-        "config": config.as_dict(),
+        "config": config.as_dict("solve"),
         "instance": {"num_states": num_states, "gamma": gamma, "slip": config.slip,
                      "truncation": k, "penalty_strength": config.penalty_strength,
                      "reduction_penalty": config.reduction_penalty},
@@ -234,7 +227,8 @@ def run_k_heatmap(config: ExperimentConfig) -> list[dict]:
           "" if r["minimal_k"] is None else r["minimal_k"], r["status"]] for r in rows],
     )
     _write(config.out_dir, "k_heatmap.csv", table)
-    _write(config.out_dir, "k_heatmap_config.json", json.dumps(config.as_dict(), indent=1))
+    _write(config.out_dir, "k_heatmap_config.json",
+           json.dumps(config.as_dict("k-heatmap"), indent=1))
     return rows
 
 
@@ -257,8 +251,7 @@ def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
             out.append({"num_states": size, "gamma": gamma, "status": f"unavailable: {e}"})
             continue
         result = tts_sweep(inst.qubo.polynomial, ground, config.sweep_grid,
-                           config.num_reads, config.desired_probability,
-                           rng_seed=config.seed, num_variables=inst.qubo.num_variables)
+                           config.num_reads, config.desired_probability, rng_seed=config.seed)
         out.append({"num_states": size, "gamma": gamma, "truncation": inst.truncation,
                     "variables": inst.qubo.num_variables, "ground_energy": ground,
                     "result": result, "status": "ok"})
@@ -284,7 +277,8 @@ def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
           if i["status"] == "ok" and i["result"].optimal else ""]
          for i in out])
     _write(config.out_dir, "tts_sweep_summary.csv", summary)
-    _write(config.out_dir, "tts_sweep_config.json", json.dumps(config.as_dict(), indent=1))
+    _write(config.out_dir, "tts_sweep_config.json",
+           json.dumps(config.as_dict("tts-sweep"), indent=1))
     return out
 
 
@@ -314,7 +308,8 @@ def run_resources(config: ExperimentConfig) -> list[dict]:
           r["report"].qaoa_gate_volume_ancilla.value,
           r["report"].qaoa_gate_volume_worst.log2] for r in rows])
     _write(config.out_dir, "resources.csv", table)
-    _write(config.out_dir, "resources_config.json", json.dumps(config.as_dict(), indent=1))
+    _write(config.out_dir, "resources_config.json",
+           json.dumps(config.as_dict("resources"), indent=1))
     return rows
 
 
@@ -355,7 +350,7 @@ def run_oracle_compare(config: ExperimentConfig, num_states: int, gamma: float) 
     }
     record = {
         "experiment": "oracle-compare",
-        "config": config.as_dict(),
+        "config": config.as_dict("oracle-compare"),
         "instance": {"num_states": num_states, "gamma": gamma, "slip": config.slip,
                      "truncation": inst.truncation},
         "interior_policies": columns,

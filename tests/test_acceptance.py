@@ -31,7 +31,7 @@ def test_c01_policy_correctness_full_ground_state():
     start = time.time()
     mdp = build_hallway(6, 0.99)
     ham = compile_hamiltonian(mdp, CompilerConfig(3, 3.0))
-    minimizers, _ = exhaustive_ground_state(ham.polynomial, 12)
+    minimizers, _ = exhaustive_ground_state(ham.polynomial)
     _, greedy = value_iteration(mdp)
     policies = [PolicyAssignment(m, 6, 2) for m in minimizers]
     feasible = all(p.is_feasible() for p in policies)
@@ -51,7 +51,7 @@ def test_c02_premature_truncation_is_symmetric():
     """K=2 ground state is the symmetric policy, wrong at the third interior state."""
     mdp = build_hallway(6, 0.99)
     ham = compile_hamiltonian(mdp, CompilerConfig(2, 3.0))
-    minimizers, _ = exhaustive_ground_state(ham.polynomial, 12)
+    minimizers, _ = exhaustive_ground_state(ham.polynomial)
     policies = [PolicyAssignment(m, 6, 2) for m in minimizers]
     sym = all(p.is_feasible() and list(p.interior_actions()) == [0, 0, 1, 1]
               for p in policies)
@@ -115,7 +115,7 @@ def test_c03_truncation_phase_transition():
     # cannot see, so the compiled order-2 ground state stays symmetric.
     gap_edge = interior_q_gap(0.7)
     ham = compile_hamiltonian(build_hallway(6, 0.7), CompilerConfig(2, 3.0))
-    minimizers, _ = exhaustive_ground_state(ham.polynomial, 12)
+    minimizers, _ = exhaustive_ground_state(ham.polynomial)
     order2_edge = [[int(a) for a in PolicyAssignment(m, 6, 2).interior_actions()]
                    for m in minimizers]
     dp_edge = dp_interior_policy(0.7)
@@ -243,13 +243,13 @@ def test_c08_annealer_competence_at_low_discount():
     k = minimal_truncation_order(mdp)
     ham = compile_hamiltonian(mdp, CompilerConfig(k, 3.0))
     qubo = quadratize(ham.polynomial, 5.0, num_variables=12)
-    _, ground = exhaustive_ground_state(qubo.polynomial, qubo.num_variables)
+    _, ground = exhaustive_ground_state(qubo.polynomial)
     beta0, beta1 = default_beta_range(qubo.polynomial)
     schedule = AnnealSchedule(2, beta0, beta1, num_reads=1000, rng_seed=2718)
     reads = simulated_anneal(qubo.polynomial, schedule, num_variables=qubo.num_variables)
     p_s, _ = success_probability(reads, ground)
     sweep = tts_sweep(qubo.polynomial, ground, (1, 2, 3, 5, 7, 10), 1000,
-                      rng_seed=2718, num_variables=qubo.num_variables)
+                      rng_seed=2718)
     has_finite = sweep.optimal is not None
     n_star = sweep.optimal_num_sweeps
     ok = p_s > 0.05 and has_finite and n_star is not None and n_star <= 10

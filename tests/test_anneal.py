@@ -23,7 +23,7 @@ def single_negative_variable():
 
 class TestExhaustive:
     def test_single_term(self):
-        minimizers, energy = exhaustive_ground_state(single_negative_variable(), 1)
+        minimizers, energy = exhaustive_ground_state(single_negative_variable())
         assert energy == -1.0
         assert len(minimizers) == 1
         assert minimizers[0][0] == 1
@@ -34,7 +34,7 @@ class TestExhaustive:
         P[:, :, 1] = 1.0
         mdp = Mdp(P, np.zeros_like(P), 0.9)
         ham = compile_hamiltonian(mdp, CompilerConfig(2, 3.0))
-        minimizers, energy = exhaustive_ground_state(ham.polynomial, 6)
+        minimizers, energy = exhaustive_ground_state(ham.polynomial)
         assert energy == 0.0
         found = {tuple(m) for m in minimizers}
         expected = {tuple(PolicyAssignment.from_actions(row, 2).bits)
@@ -58,19 +58,19 @@ class TestExhaustive:
         brute = [sum(c for mono, c in poly.terms.items() if all(i >> v & 1 for v in mono))
                  for i in range(1 << n)]
         ties = [i for i, e in enumerate(brute) if e == min(brute)]
-        minimizers, energy = exhaustive_ground_state(poly, n)
+        minimizers, energy = exhaustive_ground_state(poly)
         assert len(ties) > 1 and energy == min(brute)
         assert [sum(int(x) << v for v, x in enumerate(m)) for m in minimizers] == ties
 
     def test_variable_cap(self):
         poly = PseudoBooleanPolynomial(30).add_term([29], 1.0)
         with pytest.raises(InstanceTooLargeError):
-            exhaustive_ground_state(poly, 30)
+            exhaustive_ground_state(poly)
 
     def test_minimizer_cap(self):
         # the zero polynomial on 17 variables: every one of 2^17 assignments is a minimizer
         with pytest.raises(InstanceTooLargeError, match="131072 degenerate minimizers"):
-            exhaustive_ground_state(PseudoBooleanPolynomial(17), 17)
+            exhaustive_ground_state(PseudoBooleanPolynomial(17))
 
 
 class TestSimulatedAnneal:
@@ -354,28 +354,25 @@ class TestTtsSweep:
         mdp = build_hallway(6, 0.6)
         ham = compile_hamiltonian(mdp, CompilerConfig(2, 3.0))
         qubo = quadratize(ham.polynomial, 5.0, num_variables=12)
-        _, ground = exhaustive_ground_state(qubo.polynomial, qubo.num_variables)
+        _, ground = exhaustive_ground_state(qubo.polynomial)
         return qubo, ground
 
     def test_deterministic_rerun(self):
         qubo, ground = self._instance()
-        kw = dict(sweep_grid=(1, 2, 4), num_reads=100, rng_seed=5,
-                  num_variables=qubo.num_variables)
+        kw = dict(sweep_grid=(1, 2, 4), num_reads=100, rng_seed=5)
         a = tts_sweep(qubo.polynomial, ground, **kw)
         b = tts_sweep(qubo.polynomial, ground, **kw)
         assert a == b
 
     def test_effort_scales_with_sweeps_and_variables(self):
         qubo, ground = self._instance()
-        result = tts_sweep(qubo.polynomial, ground, (2, 4), 50, rng_seed=1,
-                           num_variables=qubo.num_variables)
+        result = tts_sweep(qubo.polynomial, ground, (2, 4), 50, rng_seed=1)
         efforts = [r.estimate.effort for r in result.rows]
         assert efforts == [2 * qubo.num_variables, 4 * qubo.num_variables]
 
     def test_success_probability_roughly_monotone_in_sweeps(self):
         qubo, ground = self._instance()
-        result = tts_sweep(qubo.polynomial, ground, (2, 30), 400, rng_seed=2,
-                           num_variables=qubo.num_variables)
+        result = tts_sweep(qubo.polynomial, ground, (2, 30), 400, rng_seed=2)
         (lo, hi) = result.rows
         slack = 2 * (lo.estimate.std_error + hi.estimate.std_error)
         assert hi.estimate.success_probability >= lo.estimate.success_probability - slack
@@ -386,7 +383,7 @@ def test_native_higher_degree_annealing_matches_reduced():
     read of each attains the same exhaustive ground energy."""
     mdp = build_hallway(6, 0.99)
     ham = compile_hamiltonian(mdp, CompilerConfig(3, 3.0))
-    _, ground = exhaustive_ground_state(ham.polynomial, 12)
+    _, ground = exhaustive_ground_state(ham.polynomial)
 
     b0, b1 = default_beta_range(ham.polynomial)
     native = simulated_anneal(ham.polynomial,

@@ -137,14 +137,13 @@ def test_walk_sum_matches_brute_force_chain_sum(mdp, k):
 @given(bits=st.lists(st.integers(0, 1), min_size=12, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_penalty_value_and_feasibility(bits):
-    mdp = build_hallway(6, 0.99)
-    ham = compile_hamiltonian(mdp, CompilerConfig(1, 3.0))
+    penalty = compiler._penalty_polynomial(build_hallway(6, 0.99), 3.0)
     x = np.array(bits, dtype=np.int8)
     per_state = x.reshape(6, 2).sum(axis=1)
     expected = 3.0 * ((per_state - 1) ** 2).sum()
-    assert ham.penalty.evaluate(x) == pytest.approx(expected, abs=1e-12)
+    assert penalty.evaluate(x) == pytest.approx(expected, abs=1e-12)
     feasible = PolicyAssignment(x, 6, 2).is_feasible()
-    assert (ham.penalty.evaluate(x) == 0.0) == feasible
+    assert (penalty.evaluate(x) == 0.0) == feasible
 
 
 class TestTruncatedQ:

@@ -100,6 +100,25 @@ def test_run_resources_rows(tmp_path):
     assert header.startswith("num_states,gamma,truncation")
 
 
+RUNNERS = {"solve": lambda config: run_solve(config, 4, 0.6),
+           "oracle-compare": lambda config: run_oracle_compare(config, 4, 0.6),
+           "k-heatmap": run_k_heatmap, "tts-sweep": run_tts_sweep,
+           "resources": run_resources}
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_each_runner_names_itself_in_its_config(tmp_path, name):
+    # called from Python, so no subcommand sets the name
+    RUNNERS[name](fast_config(sizes=(4,), gammas=(0.6,), truncation=2, k_max=2,
+                              num_reads=10, sweep_grid=(1,), out_dir=str(tmp_path)))
+    (path,) = tmp_path.glob("*.json")
+    written = json.loads(path.read_text())
+    if name in ("solve", "oracle-compare"):
+        assert written["experiment"] == name
+        written = written["config"]
+    assert written["experiment"] == name
+
+
 def test_run_oracle_compare_all_agree():
     record = run_oracle_compare(fast_config(num_reads=400, num_sweeps=30, truncation=3),
                                 6, 0.99)
@@ -139,8 +158,8 @@ class TestConfigFile:
         assert values == {"gammas": (0.6, 0.9), "sizes": (4,), "num_reads": 33,
                           "seed": 4}
 
-    @pytest.mark.parametrize("field", [f for f in dataclasses.fields(ExperimentConfig)
-                                       if f.name != "experiment"], ids=lambda f: f.name)
+    @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
+                             ids=lambda f: f.name)
     def test_each_field_reads_back_as_its_type(self, tmp_path, field):
         # the fields whose default is None take a sample value of their type
         value = {"truncation": 3, "out_dir": "records"}.get(field.name, field.default)
@@ -456,7 +475,7 @@ class TestCli:
         args = [command, "--config", str(config_file), "--truncation", "2",
                 "--penalty-strength", "3.5", "--reduction-penalty", "6.5",
                 "--num-reads", "4", "--seed", "7", "--out", str(out)]
-        expected = dict(experiment=command, truncation=2, penalty_strength=3.5,
+        expected = dict(truncation=2, penalty_strength=3.5,
                         reduction_penalty=6.5, num_reads=4, seed=7,
                         num_qlearning_seeds=1, qlearning_episodes=50, out_dir=str(out))
         single = command in ("solve", "oracle-compare")
@@ -474,4 +493,4 @@ class TestCli:
             assert written["instance"]["num_states"] == 5
             assert written["instance"]["gamma"] == 0.9
             written = written["config"]
-        assert written == json.loads(json.dumps(ExperimentConfig(**expected).as_dict()))
+        assert written == json.loads(json.dumps(ExperimentConfig(**expected).as_dict(command)))

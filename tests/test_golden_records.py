@@ -34,14 +34,14 @@ CASES = {
     "solve_k3": lambda d: run_solve(_config(d, truncation=3), 6, 0.99),
     "solve_auto_k": lambda d: run_solve(_config(d), 5, 0.8),
     "oracle_compare": lambda d: run_oracle_compare(
-        _config(d, experiment="oracle-compare", truncation=3), 5, 0.9),
+        _config(d, truncation=3), 5, 0.9),
     "tts_sweep": lambda d: run_tts_sweep(_config(
-        d, experiment="tts-sweep", sizes=(4, 6), gammas=(0.6, 0.9), k_max=2,
+        d, sizes=(4, 6), gammas=(0.6, 0.9), k_max=2,
         sweep_grid=(1, 3), num_reads=30)),
     "resources": lambda d: run_resources(_config(
-        d, experiment="resources", sizes=(4, 5, 6), gammas=(0.9,), k_max=2)),
+        d, sizes=(4, 5, 6), gammas=(0.9,), k_max=2)),
     "k_heatmap": lambda d: run_k_heatmap(_config(
-        d, experiment="k-heatmap", sizes=(4, 6), gammas=(0.6, 0.9), k_max=2)),
+        d, sizes=(4, 6), gammas=(0.6, 0.9), k_max=2)),
     "anneal_cli": lambda d: main([
         "anneal", "--hallway", "5", "--gamma", "0.9", "--truncation", "3",
         "--sweeps", "5", "--reads", "12", "--seed", "3", "--out", d]),
