@@ -33,7 +33,11 @@ from .errors import InstanceTooLargeError
 from .mdp import Mdp, PolicyAssignment, flat_index, policy_rows
 from .pseudoboolean import DROP_TOL, ENERGY_MATCH_TOL, PseudoBooleanPolynomial
 
-# states of one walk frontier, about 160 B each; two frontiers are alive at once
+# merged states of one walk frontier.  A compile's peak RSS grows by about
+# 220 B per state of its largest merged frontier (hallway(12, 0.9): 6.4 MiB
+# for 29,748 states at K=8, 27.2 MiB for 131,202 at K=10), which counts the
+# unmerged extension of one order (about 4x the frontier it extends, 2x the
+# merged result) and the coefficient rows; so about 220 MB at the limit
 FRONTIER_LIMIT = 1_000_000
 
 
@@ -79,73 +83,130 @@ def _penalty_polynomial(mdp: Mdp, strength: float) -> PseudoBooleanPolynomial:
     return pen
 
 
-def _mask_polynomial(coeffs: dict[int, float], num_variables: int) -> PseudoBooleanPolynomial:
-    """The polynomial of ``{visited bitmask: coefficient}``, in the dict's order.
+def _merge(masks: np.ndarray, weights: np.ndarray,
+           pair: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """First row of each group of equal keys, and the group's weight sum.
 
-    The set bits of a mask, ascending, are its monomial, already sorted and
-    distinct, and no two masks share one, so each term is stored as it is;
-    coefficients within DROP_TOL are dropped as ``add_term`` would.
+    A row's key is its mask words, and its last pair when ``pair`` is given.
+    Groups come in the order in which a dict keyed by the rows would first
+    have seen them: the lexsort is stable, so each sorted run starts at its
+    group's first row.  It sorts the words as 16-bit digits, which numpy
+    radix-sorts.  ``np.bincount`` adds a group's weights in row order from
+    0.0, so each sum equals ``d[key] = d.get(key, 0.0) + w`` over the rows.
     """
-    nbytes = (num_variables + 7) // 8
-    packed = b"".join(visited.to_bytes(nbytes, "little") for visited in coeffs)
-    bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(-1, nbytes),
-                         axis=1, bitorder="little")
-    ids = np.nonzero(bits)[1].tolist()
-    ends = np.cumsum(bits.sum(axis=1)).tolist()
-    poly = PseudoBooleanPolynomial(num_variables)
-    poly.terms = {tuple(ids[start:end]): coeff
-                  for start, end, coeff in zip([0] + ends, ends, coeffs.values())
-                  if abs(coeff) > DROP_TOL}
-    return poly
+    keys = list(masks.view(np.uint16).T)
+    if pair is not None:
+        keys.append(pair.astype(np.min_scalar_type(pair.max(initial=0))))
+    order = np.lexsort(keys)
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any([k[1:] != k[:-1] for k in (key[order] for key in keys)], axis=0)
+    starts = order[new]
+    rank = np.argsort(starts)
+    number = np.empty_like(rank)
+    number[rank] = np.arange(rank.size)
+    group = np.empty_like(order)
+    group[order] = number[np.cumsum(new) - 1]
+    return starts[rank], np.bincount(group, weights=weights, minlength=rank.size)
+
+
+def _monomials(masks: np.ndarray) -> list[tuple[int, ...]]:
+    """The set bits of each row of mask words, ascending, as variable ids.
+
+    Each little-endian word is read as 8 bytes, each byte shifted through
+    its 8 bits, so bit b of byte j of word w is variable 64w + 8j + b.
+    """
+    octets = masks.astype("<u8", copy=False).view(np.uint8)
+    bits = (octets[:, :, None] >> np.arange(8, dtype=np.uint8)) & np.uint8(1)
+    rows, ids = np.nonzero(bits.reshape(masks.shape[0], 64 * masks.shape[1]))
+    ends = np.cumsum(np.bincount(rows, minlength=masks.shape[0])).tolist()
+    ids = ids.tolist()
+    return [tuple(ids[start:end]) for start, end in zip([0] + ends, ends)]
+
+
+def _successor_table(mdp: Mdp) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair's successor pairs as one flat table.
+
+    A pair's successors are pruned to nonzero probabilities and ordered by
+    successor state, then action.  Returns each pair's start and count in
+    the table, and the table's pairs and transition probabilities.
+    """
+    na = mdp.num_actions
+    flat = mdp.transition.reshape(mdp.num_pairs, -1)
+    src, sp = np.nonzero(flat > 0.0)
+    count = np.bincount(src, minlength=mdp.num_pairs) * na
+    return (np.cumsum(count) - count, count,
+            (sp[:, None] * na + np.arange(na)).reshape(-1), np.repeat(flat[src, sp], na))
+
+
+def _set_bit(mask: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """``mask`` with each row's bit ``pair`` set, in place."""
+    mask[np.arange(pair.size), pair >> 6] |= np.uint64(1) << (pair & 63).astype(np.uint64)
+    return mask
+
+
+def _extend(pair: np.ndarray, weight: np.ndarray, mask: np.ndarray,
+            table: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each frontier row followed by every successor pair in the table.
+
+    Rows come out in frontier order, each row's successors in table order:
+    the order in which a dict frontier generates them.
+    """
+    start, count, succ_pair, succ_prob = table
+    counts = count[pair]
+    row = np.repeat(np.arange(pair.size), counts)
+    slot = np.arange(row.size) + np.repeat(start[pair] - np.cumsum(counts) + counts, counts)
+    nxt = succ_pair[slot]
+    return nxt, weight[row] * succ_prob[slot], _set_bit(mask[row], nxt)
 
 
 def compile_hamiltonian(mdp: Mdp, config: CompilerConfig) -> CompiledHamiltonian:
     """Sum all nonzero walks up to order K and assemble the cost function.
 
-    One pass per depth over a frontier {(last pair, visited pairs): weight}:
-    walks that end at the same pair having visited the same pairs share
-    their monomial and their future, so they are summed before extending.
-    Raises InstanceTooLargeError once the next frontier passes FRONTIER_LIMIT
-    states; the check follows each extended state, so it overshoots by at
-    most one state's |S||A| successors.
+    One pass per depth over a frontier of (last pair, visited pairs, weight)
+    rows, the visited pairs as uint64 mask words: walks that end at the same
+    pair having visited the same pairs share their monomial and their
+    future, so they are summed before extending.  Each depth extends every
+    row by its pruned successors at once and merges equal keys in the order
+    a dict would first have seen them, summing in generation order, so
+    every coefficient is the one that dict accumulation gives.  Raises
+    InstanceTooLargeError when a merged frontier passes FRONTIER_LIMIT
+    states.
     """
-    P = mdp.transition
     na = mdp.num_actions
+    n = mdp.num_pairs
     er = mdp.expected_reward()
-    er_flat = er.reshape(-1).tolist()
-    # successor lists pruned to nonzero probabilities
-    succ = [[(sp, p) for sp, p in enumerate(row) if p > 0.0]
-            for row in P.reshape(mdp.num_pairs, -1).tolist()]
+    er_flat = er.reshape(-1)
+    table = _successor_table(mdp)
+    in_weight = mdp.transition.sum(axis=(0, 1))
+    pair = np.flatnonzero(np.repeat(in_weight != 0.0, na))
+    weight = in_weight[pair // na]
+    mask = _set_bit(np.zeros((pair.size, (n + 63) // 64), dtype=np.uint64), pair)
 
-    frontier = {(pair, 1 << pair): w
-                for s, w in enumerate(P.sum(axis=(0, 1)).tolist()) if w != 0.0
-                for pair in range(s * na, (s + 1) * na)}
-    coeffs: dict[int, float] = {}
+    coeff_masks, coeff_values = [], []
     for depth in range(1, config.truncation_order + 1):
         scale = -mdp.discount ** depth
-        for (pair, visited), weight in frontier.items():
-            if er_flat[pair] != 0.0:
-                coeffs[visited] = coeffs.get(visited, 0.0) + scale * weight * er_flat[pair]
+        rewarded = er_flat[pair] != 0.0
+        coeff_masks.append(mask[rewarded])
+        coeff_values.append(scale * weight[rewarded] * er_flat[pair[rewarded]])
         if depth == config.truncation_order:
             break
-        nxt: dict[tuple[int, int], float] = {}
-        for (pair, visited), weight in frontier.items():
-            for sp, p in succ[pair]:
-                w = weight * p
-                for nxt_pair in range(sp * na, (sp + 1) * na):
-                    key = (nxt_pair, visited | 1 << nxt_pair)
-                    nxt[key] = nxt.get(key, 0.0) + w
-            if len(nxt) > FRONTIER_LIMIT:
-                raise InstanceTooLargeError(
-                    f"walk frontier passed {FRONTIER_LIMIT} states at order {depth + 1}")
-        frontier = nxt
+        pair, weight, mask = _extend(pair, weight, mask, table)
+        first, weight = _merge(mask, weight, pair)
+        if first.size > FRONTIER_LIMIT:
+            raise InstanceTooLargeError(
+                f"walk frontier passed {FRONTIER_LIMIT} states at order {depth + 1}")
+        pair, mask = pair[first], mask[first]
 
-    objective = _mask_polynomial(coeffs, mdp.num_pairs)
+    masks = np.concatenate(coeff_masks)
+    first, coeffs = _merge(masks, np.concatenate(coeff_values))
+    kept = np.abs(coeffs) > DROP_TOL
+    objective = PseudoBooleanPolynomial(n)
+    objective.terms = dict(zip(_monomials(masks[first[kept]]), coeffs[kept].tolist()))
     return CompiledHamiltonian(
         objective=objective,
         polynomial=objective.add(_penalty_polynomial(mdp, config.penalty_strength)),
         constant_offset=-float(er.sum()),
-        num_variables=mdp.num_pairs,
+        num_variables=n,
     )
 
 
@@ -198,8 +259,8 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
     is compiled, so FRONTIER_LIMIT does not apply.
 
     A K qualifies when the best policy beats the runner-up by more than
-    ENERGY_MATCH_TOL, or is the only policy, and its interior actions match
-    value iteration's greedy policy; returns None when no K <= k_max
+    ENERGY_MATCH_TOL, or is the only policy, and its action at every state
+    matches value iteration's greedy policy; returns None when no K <= k_max
     qualifies.  Just past a discount at which the optimal policy changes, the
     least qualifying K rises sharply, because the ground state must resolve a
     vanishing Q-gap between the two policies.  Raises InstanceTooLargeError
@@ -209,7 +270,7 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
         raise InstanceTooLargeError(f"{mdp.num_pairs} policy bits exceed the "
                                     f"exhaustive-search limit of {EXHAUSTIVE_MAX_VARIABLES}")
     _, greedy = value_iteration(mdp)
-    target = greedy.interior_actions()
+    target = greedy.actions()
     actions = policy_rows(mdp.num_states, mdp.num_actions,
                           np.arange(mdp.num_actions ** mdp.num_states))
     rollout = _rollout(mdp, actions)
@@ -221,6 +282,6 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
         # a single policy has no runner-up and is the unique ground state
         if len(order_idx) > 1 and energies[order_idx[1]] - energies[best] <= ENERGY_MATCH_TOL:
             continue
-        if np.array_equal(actions[best, 1:-1], target):
+        if np.array_equal(actions[best], target):
             return k
     return None

@@ -1,7 +1,8 @@
 """Brute-force oracles that only the tests call.
 
 Each is a direct, slow statement of a quantity the library computes another
-way: a chain's walk weight (the compiler's walk sum), the Bellman residual
+way: a chain's walk weight and the dict-frontier walk sum (the compiler's
+walk sum), the Bellman residual
 of a Q table (value iteration), the consistent ancilla values and the QUBO
 minimum over ancillas (order reduction), and the inverse of ``flat_index``.
 """
@@ -13,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from mdpspin.mdp import Mdp
-from mdpspin.pseudoboolean import all_assignment_energies
+from mdpspin.pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
 from mdpspin.quadratize import AncillaRegistry, QuboProblem
 
 
@@ -76,3 +77,41 @@ def minimized_over_ancillas(qubo: QuboProblem) -> np.ndarray:
 def unflatten_index(flat_id: int, num_actions: int) -> tuple[int, int]:
     """Inverse of ``flat_index``."""
     return divmod(flat_id, num_actions)
+
+
+def dict_walk_sum(mdp: Mdp, truncation_order: int) -> PseudoBooleanPolynomial:
+    """The walk-sum objective built over a ``{(last pair, visited mask): weight}`` dict.
+
+    The compiler's frontier pass, one Python loop iteration per frontier
+    state and successor: coefficients accumulate per visited bitmask in
+    generation order, and each mask's set bits are added as one monomial.
+    """
+    P = mdp.transition
+    na = mdp.num_actions
+    er = mdp.expected_reward()
+    er_flat = er.reshape(-1).tolist()
+    succ = [[(sp, p) for sp, p in enumerate(row) if p > 0.0]
+            for row in P.reshape(mdp.num_pairs, -1).tolist()]
+    frontier = {(pair, 1 << pair): w
+                for s, w in enumerate(P.sum(axis=(0, 1)).tolist()) if w != 0.0
+                for pair in range(s * na, (s + 1) * na)}
+    coeffs: dict[int, float] = {}
+    for depth in range(1, truncation_order + 1):
+        scale = -mdp.discount ** depth
+        for (pair, visited), weight in frontier.items():
+            if er_flat[pair] != 0.0:
+                coeffs[visited] = coeffs.get(visited, 0.0) + scale * weight * er_flat[pair]
+        if depth == truncation_order:
+            break
+        nxt: dict[tuple[int, int], float] = {}
+        for (pair, visited), weight in frontier.items():
+            for sp, p in succ[pair]:
+                w = weight * p
+                for nxt_pair in range(sp * na, (sp + 1) * na):
+                    key = (nxt_pair, visited | 1 << nxt_pair)
+                    nxt[key] = nxt.get(key, 0.0) + w
+        frontier = nxt
+    poly = PseudoBooleanPolynomial(mdp.num_pairs)
+    for visited, coeff in coeffs.items():
+        poly.add_term([v for v in range(mdp.num_pairs) if visited >> v & 1], coeff)
+    return poly

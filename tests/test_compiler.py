@@ -10,11 +10,11 @@ import hypothesis.strategies as st
 from mdpspin import compiler
 from mdpspin.compiler import (CompilerConfig, compile_hamiltonian, minimal_truncation_order,
                               truncated_q_table)
-from mdpspin.dp import policy_evaluation_exact
+from mdpspin.dp import policy_evaluation_exact, value_iteration
 from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp, PolicyAssignment, ValidationError, build_hallway, policy_rows
-from mdpspin.pseudoboolean import DROP_TOL, PseudoBooleanPolynomial, all_assignment_energies
-from oracles import coupling_coefficient
+from mdpspin.pseudoboolean import DROP_TOL, ENERGY_MATCH_TOL, all_assignment_energies
+from oracles import coupling_coefficient, dict_walk_sum
 
 
 def two_state_cycle(reward=5.0, gamma=0.9):
@@ -215,35 +215,39 @@ def test_oracle_identity_random_sparse_mdp(seed, k):
     assert_oracle_identity(random_sparse_mdp(seed), k)
 
 
-@pytest.mark.parametrize("seed, reward_scale", [
-    pytest.param(0, 1.0, id="random0"),
-    pytest.param(1, 1.0, id="random1"),
-    pytest.param(2, 1e-11, id="random2-tiny-rewards"),
+def tiny_reward_mdp():
+    """random_sparse_mdp(2) with rewards scaled by 1e-11: many walk-sum
+    coefficients fall within the drop tolerance."""
+    mdp = random_sparse_mdp(2)
+    return Mdp(mdp.transition, mdp.reward * 1e-11, mdp.discount)
+
+
+@pytest.mark.parametrize("build, k", [
+    *(pytest.param(lambda seed=seed: random_sparse_mdp(seed), 4, id=f"random{seed}-K4")
+      for seed in (0, 1, 2)),
+    pytest.param(lambda: build_hallway(6, 0.9), 9, id="hallway6-K9"),
+    pytest.param(lambda: build_hallway(12, 0.9), 8, id="hallway12-K8"),
+    pytest.param(tiny_reward_mdp, 4, id="random2-tiny-rewards-K4"),
+    pytest.param(lambda: build_hallway(40, 0.9), 3, id="hallway40-K3-two-mask-words"),
 ])
-def test_objective_matches_add_term_build(monkeypatch, seed, reward_scale):
-    """The objective built from the walk sum's bitmasks is the one that
-    add_term builds from the same masks, term for term and in order."""
-    mdp = random_sparse_mdp(seed)
-    mdp = Mdp(mdp.transition, mdp.reward * reward_scale, mdp.discount)
-    masks = {}
-    build = compiler._mask_polynomial
+def test_walk_sum_is_the_dict_build(build, k):
+    """The array frontier gives the dict frontier's objective and cost
+    function, term for term, in order, with equal coefficients."""
+    mdp = build()
+    ham = compile_hamiltonian(mdp, CompilerConfig(k, 3.0))
+    expected = dict_walk_sum(mdp, k)
+    assert list(ham.objective.terms.items()) == list(expected.terms.items())
+    full = expected.add(compiler._penalty_polynomial(mdp, 3.0))
+    assert list(ham.polynomial.terms.items()) == list(full.terms.items())
+    assert ham.objective.num_variables == mdp.num_pairs
 
-    def spy(coeffs, num_variables):
-        masks.update(coeffs)
-        return build(coeffs, num_variables)
 
-    monkeypatch.setattr(compiler, "_mask_polynomial", spy)
-    objective = compile_hamiltonian(mdp, CompilerConfig(4)).objective
-    expected = PseudoBooleanPolynomial(mdp.num_pairs)
-    for visited, coeff in masks.items():
-        expected.add_term([v for v in range(mdp.num_pairs) if visited >> v & 1], coeff)
-    assert list(objective.terms.items()) == list(expected.terms.items())
-    for mono, coeff in objective.terms.items():
-        assert list(mono) == sorted(set(mono)) and abs(coeff) > DROP_TOL
-    dropped = [c for c in masks.values() if abs(c) <= DROP_TOL]
-    assert len(objective) == len(masks) - len(dropped)
-    if reward_scale < 1.0:
-        assert any(c != 0.0 for c in dropped)
+def test_tiny_rewards_drop_coefficients():
+    """Scaling the rewards by 1e-11 drops coefficients: the same walks give
+    fewer terms than at full scale, and every kept one is past DROP_TOL."""
+    objective = compile_hamiltonian(tiny_reward_mdp(), CompilerConfig(4)).objective
+    assert len(objective) < len(compile_hamiltonian(random_sparse_mdp(2), CompilerConfig(4)).objective)
+    assert all(abs(c) > DROP_TOL for c in objective.terms.values())
 
 
 def test_tail_of_series_is_discount_bounded():
@@ -255,6 +259,16 @@ def test_tail_of_series_is_discount_bounded():
     b = truncated_q_table(mdp, pol, k + 1).sum()
     bound = (0.5 ** (k + 1)) * 10.0 * 12 / (1 - 0.5)
     assert abs(b - a) < bound
+
+
+def dense_random_mdp(seed):
+    """3-6 states, 2-3 actions, Dirichlet(0.5) transition rows, standard
+    normal rewards and a discount in [0.5, 0.95], all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    num_states, num_actions = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+    P = rng.dirichlet(np.full(num_states, 0.5), size=(num_states, num_actions))
+    R = rng.normal(size=P.shape)
+    return Mdp(P, R, float(rng.uniform(0.5, 0.95)))
 
 
 class TestMinimalTruncationOrder:
@@ -290,6 +304,26 @@ class TestMinimalTruncationOrder:
         P[0, 0, :] = 0.0
         with pytest.raises(ValidationError):
             minimal_truncation_order(Mdp(P, mdp.reward, 0.99))
+
+    def test_ground_state_is_the_whole_greedy_policy(self):
+        """Wherever value iteration's greedy policy is unique by more than
+        ENERGY_MATCH_TOL, the returned K's ground state is that policy at
+        every state, the first and last included."""
+        checked = 0
+        for seed in range(40):
+            mdp = dense_random_mdp(seed)
+            q, greedy = value_iteration(mdp)
+            runner_up, top = np.sort(q, axis=1)[:, -2:].T
+            k = minimal_truncation_order(mdp)
+            if k is None or not (top - runner_up > ENERGY_MATCH_TOL).all():
+                continue
+            rows = policy_rows(mdp.num_states, mdp.num_actions,
+                               np.arange(mdp.num_actions ** mdp.num_states))
+            energies = [-truncated_q_table(mdp, PolicyAssignment.from_actions(row, mdp.num_actions),
+                                           k).sum() for row in rows]
+            assert np.array_equal(rows[np.argmin(energies)], greedy.actions()), f"seed {seed}"
+            checked += 1
+        assert checked >= 30
 
     def test_degenerate_ties_never_qualify(self):
         # zero rewards: every feasible assignment is a ground state at every K
