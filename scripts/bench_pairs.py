@@ -8,9 +8,13 @@ with ``git archive`` into its own temporary directory, and every run is
 ``BENCHMARK.json``.  For each workload, PAIRS pairs at seed SEED run the two
 sides once each with tracing off, alternating which side runs first.  The
 file holds each side's runs, median and quartiles of every end-to-end
-metric, the failed share, and the pairs the change won.  One traced run of
-every workload per side at ``--trace-seed`` adds the per-layer metrics,
-under ``traced`` by workload.  The trace seed has no default: pick one the
+metric, the failed share, and the pairs the change won.  Under ``unscaled``
+each side also keeps what a run prints on its ``unscaled:`` line, not scaled
+by the reference loop: the median round, the median set-up and the speed
+factor, with their medians.  One traced run of every workload per side at
+``--trace-seed`` adds the per-layer metrics, under ``traced`` by workload,
+and the trace file's median self time of each layer on each instance, under
+``self_time_by_instance``.  The trace seed has no default: pick one the
 change was not tuned on, so its per-layer numbers are not the ones it was
 built against.
 """
@@ -21,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -32,6 +37,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SEED = 0
+UNSCALED = re.compile(r"unscaled: median round ([\d.]+) s, "
+                      r"median set-up ([\d.]+) s; speed factor ([\d.]+)")
 
 
 def export(revision: str, into: Path) -> str:
@@ -46,16 +53,31 @@ def export(revision: str, into: Path) -> str:
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The result line of one benchmark run."""
+    """The result line of one benchmark run, with its unscaled timings added
+    under ``unscaled``."""
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds),
                           "--trace", str(trace)],
                          cwd=checkout, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    result = json.loads(out.splitlines()[-1])
+    values = map(float, UNSCALED.search(out).groups())
+    result["unscaled"] = dict(zip(("round_s", "setup_s", "speed_factor"), values))
+    return result
+
+
+def traced(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The per-layer metrics of one traced run, and each instance's median
+    self time per layer from the trace file the run writes."""
+    result = run(checkout, workload, seed, seconds, trace=1)
+    trace = checkout / "perfbench" / "out" / f"trace-{workload}-seed{seed}.json"
+    record = {name: m["value"] for name, m in result["metrics"].items()}
+    record["self_time_by_instance"] = json.loads(trace.read_text())["self_time_by_instance"]
+    return record
 
 
 def summary(results: list[dict], metrics: list[str]) -> dict:
-    """One side's runs, median and quartiles of each metric, and its failed share."""
+    """One side's runs, median and quartiles of each metric, its failed share and
+    its unscaled timings."""
     side = {}
     for name in metrics:
         values = [r["metrics"][name]["value"] for r in results]
@@ -65,6 +87,10 @@ def summary(results: list[dict], metrics: list[str]) -> dict:
     failed = sum(r["failed"] for r in results)
     side.update(attempted=attempted, failed=failed, failed_share=failed / attempted,
                 all_correct=all(r["correct"] for r in results))
+    side["unscaled"] = {}
+    for name in results[0]["unscaled"]:
+        values = [r["unscaled"][name] for r in results]
+        side["unscaled"][name] = {"median": statistics.median(values), "runs": values}
     return side
 
 
@@ -102,9 +128,7 @@ def main(argv=None) -> int:
                                           entry["change"][name]["runs"]))
                 for name, better in metrics.items()}
             workloads[workload] = entry
-        traced = {workload: {side: {name: m["value"] for name, m in
-                                    run(checkouts[side], workload, args.trace_seed,
-                                        seconds, trace=1)["metrics"].items()}
+        layers = {workload: {side: traced(checkouts[side], workload, args.trace_seed, seconds)
                              for side in checkouts}
                   for workload in names}
 
@@ -113,7 +137,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(), "numpy": np.__version__,
         "cpu_count": os.cpu_count(), "run_seconds": seconds, "seed": SEED,
         "pairs": PAIRS, "workloads": workloads,
-        "trace_seed": args.trace_seed, "traced": traced,
+        "trace_seed": args.trace_seed, "traced": layers,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -158,8 +158,11 @@ def _violations(mdp: Mdp) -> list[str]:
         return out
     if not (0.0 < mdp.discount < 1.0):
         out.append(f"discount {mdp.discount} outside (0, 1)")
-    bad_range = np.argwhere((P < 0.0) | (P > 1.0))
-    for s, a, sp in bad_range:
+    # NaN fails no comparison, so a non-finite entry is named on its own
+    finite = np.isfinite(P)
+    for s, a, sp in np.argwhere(~finite):
+        out.append(f"P[{s}][{a}][{sp}] is not finite")
+    for s, a, sp in np.argwhere(finite & ((P < 0.0) | (P > 1.0))):
         out.append(f"P[{s}][{a}][{sp}] = {P[s, a, sp]} outside [0, 1]")
     row_sums = P.sum(axis=2)
     bad_rows = np.argwhere(np.abs(row_sums - 1.0) > ROW_SUM_TOL)

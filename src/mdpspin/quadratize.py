@@ -7,19 +7,32 @@ penalty
 
     M_OR * (x*y - 2*x*z - 2*y*z + 3*z)
 
-which is zero exactly when z = x*y and at least M_OR otherwise.  The rounds
-edit one copy of the input in place and rewrite only the monomials that hold
-the pair; the ancilla is fresh, so a rewritten monomial never meets an
-existing one.  The pair counts are kept up to date, not recounted: a dense
-matrix counts, for every two variables, the degree >= 3 monomials holding
-both.  One product of a bool incidence of variables against those monomials
-builds it, and a round corrects only the rows and columns of the pair and
-its ancilla.  A round still scans: picking the pair reads the whole count
-matrix, quadratic in the variables, and finding the pair's holders reads the
-incidence of every degree >= 3 input monomial.  Only the count correction
-and the rewrite are in proportion to the monomials rewritten (times the
-variables, for the correction), so over all rounds the reduction grows with
-the cube of the variable count.  Substitution never rewrites degree-2
+which is zero exactly when z = x*y and at least M_OR otherwise.  While the
+rounds run, a monomial of degree >= 3 lives only as arrays: its column of a
+bool incidence of variables against those monomials, its degree, the sum of
+its variable ids and its stamp, the place in the term order that its last
+rewrite gave it.  Rewriting the holders of the pair clears two incidence
+rows of their columns and, for the holders that keep degree >= 3, sets the
+ancilla's row; the ancilla is fresh, so a rewritten monomial never meets an
+existing one.  A holder of degree 3 falls to degree 2: its last variable is
+its id sum less the pair, and it leaves the arrays as one term of the
+degree <= 2 dict.  That dict, which starts as the input's degree <= 2 terms
+and takes each round's fallen holders and gadget terms as they come, is the
+QUBO's term dict: each term added has a stamp above all before it, so the
+dict's order is the term order, and nothing in it is ever moved.  The input
+is not copied or changed.
+
+The pair counts are kept up to date, not recounted: a dense matrix counts,
+for every two variables, the degree >= 3 monomials holding both.  One
+product of the incidence with itself builds it, and a round corrects only
+the rows and columns of the pair and its ancilla.  A round still scans:
+picking the pair reads the whole count matrix, quadratic in the variables,
+and finding the pair's holders reads two incidence rows over every degree
+>= 3 input monomial.  The count correction is in proportion to the holders
+times the variables, so over all rounds the reduction grows with the cube of
+the variable count.  At tens to a few hundred variables, a round costs some
+thirty small numpy calls plus one dict insertion per fallen holder and
+gadget term, about 50 us.  Substitution never rewrites degree-2
 terms: gadget penalties from earlier rounds must survive verbatim or the
 reduction stops being value-preserving.
 """
@@ -27,6 +40,7 @@ reduction stops being value-preserving.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -90,30 +104,43 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = REDUCTI
     maximal pair below (a, b).  Each holder of (x, y) takes one count from
     (u, x) and (u, y) for each of its other variables u, and adds one to
     (u, z) if it keeps degree >= 3; a holder that falls to degree 2 held one
-    variable besides x and y, so no other pair changes.
+    variable w besides x and y, so no other pair changes, and z's counts are
+    the lost ones less one at each fallen holder's w.
 
-    Column j of the incidence stays with one monomial through its rewrites;
-    ``order[j]`` is the monomial's place in the term order, the order in
-    which the holders are rewritten and their rewrites appended.
+    Column j of the incidence is one degree >= 3 monomial through all its
+    rewrites, with ``degree[j]``, ``idsum[j]`` and ``stamp[j]``.  A round
+    rewrites the holders in stamp order and restamps them past every earlier
+    stamp.  A holder of degree 3 is {x, y, w} with w = idsum - x - y and
+    leaves the incidence as the term (w, z) of ``low``, the degree <= 2
+    terms, which are the result's.
     """
     if reduction_penalty <= 0:
         raise ValueError("reduction penalty must be positive")
     base = variable_count(poly, num_variables)
-    work = poly.copy()
-    terms = work.terms
     # the gadget over x=0, y=1, z=2, less any coefficient within DROP_TOL
     gadget = list(rosenberg_penalty(0, 1, 2, reduction_penalty).terms.items())
-    monos = [m for m in terms if len(m) >= 3]
-    order = np.arange(len(monos))
-    stamp = len(monos)
+    reduced = PseudoBooleanPolynomial(base)
+    low = reduced.terms
+    monos, coeffs = [], []
+    for mono, coeff in poly.terms.items():
+        if len(mono) <= 2:
+            low[mono] = coeff
+        else:
+            monos.append(mono)
+            coeffs.append(coeff)
+    stamp = np.arange(len(monos))
+    next_stamp = len(monos)
+    degree = np.fromiter(map(len, monos), np.int64, len(monos))
     capacity = base + 1
     incidence = np.zeros((capacity, len(monos)), dtype=bool)
-    incidence[[v for m in monos for v in m], np.repeat(order, [len(m) for m in monos])] = True
+    incidence[np.fromiter(chain.from_iterable(monos), np.intp, int(degree.sum())),
+              np.repeat(stamp, degree)] = True
     counts = np.zeros((capacity, capacity), dtype=np.int32)
-    # the float32 product is exact: every count is below 2^24
+    # the float32 products are exact: every count and id sum is below 2^24
     high = incidence[:base].astype(np.float32)
     counts[:base, :base] = high @ high.T
     np.fill_diagonal(counts, 0)
+    idsum = (np.arange(base, dtype=np.float32) @ high).astype(np.int64)
     entries: list[tuple[int, int, int]] = []
     z = base
     while True:
@@ -130,40 +157,39 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = REDUCTI
         entries.append((z, x, y))
 
         cols = np.flatnonzero(incidence[x] & incidence[y])
-        cols = cols[np.argsort(order[cols])]
-        held = incidence[:z, cols]
-        kept = held.sum(axis=0) > 3  # the holders still of degree >= 3 once rewritten
-        lost = held.sum(axis=1, dtype=np.int32)
-        gained = held[:, kept].sum(axis=1, dtype=np.int32)
-        lost[x] = lost[y] = gained[x] = gained[y] = 0
+        cols = cols[np.argsort(stamp[cols])]
+        kept = degree[cols] > 3  # the holders still of degree >= 3 once rewritten
+        fallen, cols_kept = cols[~kept], cols[kept]
+        last = idsum[fallen] - (x + y)
+        lost = incidence[:z, cols].sum(axis=1, dtype=np.int32)
+        lost[x] = lost[y] = 0
         for v in (x, y):
             counts[v, :z] -= lost
             counts[:z, v] -= lost
         counts[x, y] = counts[y, x] = 0
-        counts[z, :z] = counts[:z, z] = gained
+        counts[z, :z] = counts[:z, z] = lost - np.bincount(last, minlength=z)
         incidence[x, cols] = incidence[y, cols] = False
-        incidence[:z, cols[~kept]] = False
-        incidence[z, cols[kept]] = True
-        for j in cols.tolist():
-            # z is the largest id so far, so the rewrite is sorted and new
-            mono = monos[j]
-            i, k = mono.index(x), mono.index(y)
-            monos[j] = mono[:i] + mono[i + 1:k] + mono[k + 1:] + (z,)
-            terms[monos[j]] = terms.pop(mono)
-        order[cols] = np.arange(stamp, stamp + len(cols))
-        stamp += len(cols)
+        incidence[last, fallen] = False
+        incidence[z, cols_kept] = True
+        degree[cols_kept] -= 1
+        idsum[cols_kept] += z - x - y
+        stamp[cols] = np.arange(next_stamp, next_stamp + len(cols))
+        next_stamp += len(cols)
+        # z is the largest id so far, so each term below is sorted and new
+        for w, j in zip(last.tolist(), fallen.tolist()):
+            low[w, z] = coeffs[j]
         ids = (x, y, z)
         for mono, coeff in gadget:
             mono = tuple(ids[v] for v in mono)
             if mono == (x, y):
-                work.add_term(mono, coeff)  # the one gadget term that can be stored
+                reduced.add_term(mono, coeff)  # the one gadget term that can be stored
             else:
-                terms[mono] = coeff
+                low[mono] = coeff
         z += 1
 
-    work.num_variables = z
+    reduced.num_variables = z
     registry = AncillaRegistry(base_count=base, entries=tuple(entries))
-    return QuboProblem(polynomial=work, registry=registry)
+    return QuboProblem(polynomial=reduced, registry=registry)
 
 
 def project(full_assignment, registry: AncillaRegistry) -> np.ndarray:

@@ -3,8 +3,9 @@
 Each is a direct, slow statement of a quantity the library computes another
 way: a chain's walk weight and the dict-frontier walk sum (the compiler's
 walk sum), the Bellman residual
-of a Q table (value iteration), the consistent ancilla values and the QUBO
-minimum over ancillas (order reduction), and the inverse of ``flat_index``.
+of a Q table (value iteration), the consistent ancilla values, the QUBO
+minimum over ancillas and the dict-rewriting reduction (order reduction),
+and the inverse of ``flat_index``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from mdpspin.mdp import Mdp
-from mdpspin.pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
-from mdpspin.quadratize import AncillaRegistry, QuboProblem
+from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, all_assignment_energies,
+                                   variable_count)
+from mdpspin.quadratize import (REDUCTION_PENALTY, AncillaRegistry, QuboProblem,
+                                rosenberg_penalty)
 
 
 def coupling_coefficient(mdp: Mdp, chain: Sequence[tuple[int, int]]) -> float:
@@ -115,3 +118,85 @@ def dict_walk_sum(mdp: Mdp, truncation_order: int) -> PseudoBooleanPolynomial:
     for visited, coeff in coeffs.items():
         poly.add_term([v for v in range(mdp.num_pairs) if visited >> v & 1], coeff)
     return poly
+
+
+def dict_quadratize(poly: PseudoBooleanPolynomial,
+                    reduction_penalty: float = REDUCTION_PENALTY,
+                    num_variables: int | None = None) -> QuboProblem:
+    """The pair-substitution reduction over a copy of the term dict.
+
+    Each round rewrites every holder of the chosen pair in place: the
+    holder's tuple is sliced, popped and re-inserted at the end of the dict,
+    and the gadget's (x, y) term goes through ``add_term``.  The pair counts
+    are the library's dense matrix, kept up to date by row and column
+    corrections; ``order[j]`` is the term-order place of the monomial in
+    column j of the incidence.
+    """
+    if reduction_penalty <= 0:
+        raise ValueError("reduction penalty must be positive")
+    base = variable_count(poly, num_variables)
+    work = poly.copy()
+    terms = work.terms
+    # the gadget over x=0, y=1, z=2, less any coefficient within DROP_TOL
+    gadget = list(rosenberg_penalty(0, 1, 2, reduction_penalty).terms.items())
+    monos = [m for m in terms if len(m) >= 3]
+    order = np.arange(len(monos))
+    stamp = len(monos)
+    capacity = base + 1
+    incidence = np.zeros((capacity, len(monos)), dtype=bool)
+    incidence[[v for m in monos for v in m], np.repeat(order, [len(m) for m in monos])] = True
+    counts = np.zeros((capacity, capacity), dtype=np.int32)
+    # the float32 product is exact: every count is below 2^24
+    high = incidence[:base].astype(np.float32)
+    counts[:base, :base] = high @ high.T
+    np.fill_diagonal(counts, 0)
+    entries: list[tuple[int, int, int]] = []
+    z = base
+    while True:
+        if z == capacity:
+            grown = np.zeros((2 * capacity, len(monos)), dtype=bool)
+            grown[:capacity] = incidence
+            incidence = grown
+            counts = np.pad(counts, (0, capacity))
+            capacity *= 2
+        # rows from z on are zero; row z keeps the slice nonempty at base 0
+        x, y = divmod(int(counts[:z + 1].argmax()), capacity)
+        if counts[x, y] == 0:
+            break
+        entries.append((z, x, y))
+
+        cols = np.flatnonzero(incidence[x] & incidence[y])
+        cols = cols[np.argsort(order[cols])]
+        held = incidence[:z, cols]
+        kept = held.sum(axis=0) > 3  # the holders still of degree >= 3 once rewritten
+        lost = held.sum(axis=1, dtype=np.int32)
+        gained = held[:, kept].sum(axis=1, dtype=np.int32)
+        lost[x] = lost[y] = gained[x] = gained[y] = 0
+        for v in (x, y):
+            counts[v, :z] -= lost
+            counts[:z, v] -= lost
+        counts[x, y] = counts[y, x] = 0
+        counts[z, :z] = counts[:z, z] = gained
+        incidence[x, cols] = incidence[y, cols] = False
+        incidence[:z, cols[~kept]] = False
+        incidence[z, cols[kept]] = True
+        for j in cols.tolist():
+            # z is the largest id so far, so the rewrite is sorted and new
+            mono = monos[j]
+            i, k = mono.index(x), mono.index(y)
+            monos[j] = mono[:i] + mono[i + 1:k] + mono[k + 1:] + (z,)
+            terms[monos[j]] = terms.pop(mono)
+        order[cols] = np.arange(stamp, stamp + len(cols))
+        stamp += len(cols)
+        ids = (x, y, z)
+        for mono, coeff in gadget:
+            mono = tuple(ids[v] for v in mono)
+            if mono == (x, y):
+                work.add_term(mono, coeff)  # the one gadget term that can be stored
+            else:
+                terms[mono] = coeff
+        z += 1
+
+    work.num_variables = z
+    registry = AncillaRegistry(base_count=base, entries=tuple(entries))
+    return QuboProblem(polynomial=work, registry=registry)

@@ -363,6 +363,17 @@ class TestCli:
         assert main(["validate", "--hallway", "6"]) == 0
         assert capsys.readouterr().out == "valid\n"
 
+    def test_validate_refuses_a_nan_probability(self, tmp_path, capsys):
+        doc = json.loads(save_mdp(build_hallway(4, 0.9)))
+        doc["transition"][1][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", "--mdp", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "P[1][0][0] is not finite" in err
+
     def test_validate_names_every_violation_on_stderr(self, tmp_path, capsys):
         doc = json.loads(save_mdp(build_hallway(6, 0.9)))
         doc["transition"][0][0][0] = 2.0

@@ -86,6 +86,15 @@ def test_validate_reports_bad_discount_and_rewards():
     assert any("not finite" in v for v in violations(mdp.transition, R, 0.99))
 
 
+def test_validate_reports_nan_probabilities():
+    # NaN is neither below 0, above 1 nor off in its row sum
+    mdp = build_hallway(4, 0.9)
+    P = mdp.transition.copy()
+    P[1, 0, :] = np.nan
+    assert violations(P, mdp.reward, 0.9) == [
+        f"P[1][0][{sp}] is not finite" for sp in range(4)]
+
+
 def test_validate_reports_out_of_range_probability():
     P = np.zeros((2, 1, 2))
     P[0, 0, 0] = 1.5
@@ -167,6 +176,16 @@ class TestSerialization:
         doc["transition"][0][0][0] = -0.5
         with pytest.raises(ValidationError):
             load_mdp(json.dumps(doc))
+
+    def test_nan_probability_is_validation_error(self):
+        import json
+
+        doc = json.loads(save_mdp(build_hallway(4, 0.9)))
+        doc["transition"][1][0][2] = float("nan")
+        text = json.dumps(doc)
+        assert "NaN" in text
+        with pytest.raises(ValidationError, match=r"P\[1\]\[0\]\[2\] is not finite"):
+            load_mdp(text)
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError, match="line"):

@@ -11,7 +11,7 @@ from mdpspin import CompilerConfig, Mdp, build_hallway, compile_hamiltonian
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
 from mdpspin.quadratize import (AncillaRegistry, consistency_violations, project, quadratize,
                                 rosenberg_penalty, to_qubo_text)
-from oracles import lift, minimized_over_ancillas
+from oracles import dict_quadratize, lift, minimized_over_ancillas
 
 
 @st.composite
@@ -85,10 +85,11 @@ def test_matches_full_recount_reference_on_deep_hallway():
     assert qubo.registry.num_ancillas == 279
 
 
-def test_matches_full_recount_reference_on_random_mdp():
-    # 6 states x 3 actions, each pair reaching 3 distinct states with
-    # Dirichlet weights and normal rewards: no interval structure to the pairs
-    rng = np.random.default_rng(3)
+def random_mdp(seed):
+    """6 states x 3 actions, each pair reaching 3 distinct states with
+    Dirichlet weights and normal rewards: no interval structure to the pairs.
+    The benchmark's ``qubo-build`` random MDP at the same seed."""
+    rng = np.random.default_rng(seed)
     P = np.zeros((6, 3, 6))
     R = np.zeros_like(P)
     for s in range(6):
@@ -96,7 +97,11 @@ def test_matches_full_recount_reference_on_random_mdp():
             nxt = rng.choice(6, size=3, replace=False)
             P[s, a, nxt] = rng.dirichlet(np.ones(3))
             R[s, a, nxt] = rng.normal(size=3)
-    ham = compile_hamiltonian(Mdp(P, R, 0.9), CompilerConfig(4))
+    return Mdp(P, R, 0.9)
+
+
+def test_matches_full_recount_reference_on_random_mdp():
+    ham = compile_hamiltonian(random_mdp(3), CompilerConfig(4))
     qubo = assert_matches_reference(ham.polynomial, 5.0, ham.num_variables)
     assert qubo.registry.num_ancillas == 153
 
@@ -111,6 +116,28 @@ def test_matches_full_recount_reference_past_two_capacity_doublings():
             poly.add_term(mono, (-1.0) ** i * (1.0 + i / 8))
     qubo = assert_matches_reference(poly, 5.0, 6)
     assert qubo.registry.total_variables > 2 * (6 + 1)
+
+
+@pytest.mark.parametrize("mdp, order", [
+    pytest.param(build_hallway(6, 0.9), 9, id="deep"),
+    *(pytest.param(random_mdp(seed), 4, id=f"random-seed{seed}") for seed in range(6)),
+    *(pytest.param(build_hallway(n, gamma), order, id=f"hallway({n},{gamma})-K{order}")
+      for n, gamma, order in ((6, 0.99, 3), (8, 0.9, 4), (10, 0.9, 5), (12, 0.9, 6),
+                              (8, 0.7, 7), (12, 0.9, 8))),
+])
+def test_reduction_is_the_dict_build(mdp, order):
+    # term order and == coefficients, against rewriting the term dict in place
+    ham = compile_hamiltonian(mdp, CompilerConfig(order))
+    poly, n = ham.polynomial, ham.num_variables
+    before = list(poly.terms.items())
+    for strength in (5.0, 1.0, 2.0):
+        qubo = quadratize(poly, strength, num_variables=n)
+        expected = dict_quadratize(poly, strength, num_variables=n)
+        assert list(qubo.polynomial.terms.items()) == list(expected.polynomial.terms.items())
+        assert qubo.registry == expected.registry
+        assert qubo.num_variables == expected.num_variables
+        assert qubo.polynomial.num_variables == expected.polynomial.num_variables
+        assert list(poly.terms.items()) == before
 
 
 class TestPairIndexEdges:
@@ -130,6 +157,16 @@ class TestPairIndexEdges:
             poly.add_term(mono, 1.0)
         qubo = assert_matches_reference(poly, 5.0, 7)
         assert qubo.registry.entries == ((7, 0, 1), (8, 4, 5))
+
+    @pytest.mark.parametrize("coeff, stored", [(1.0, 6.0), (-5.0, None)])
+    def test_gadget_pair_lands_on_a_fallen_holder(self, coeff, stored):
+        # round one turns (0,1,2) into (2,5); round two's pair is (2,5), so
+        # its gadget's 5.0 adds onto that term, or cancels it at -5.0
+        poly = PseudoBooleanPolynomial(5).add_term([0, 1, 2], coeff)
+        poly.add_term([0, 1, 2, 3], 1.0).add_term([0, 1, 2, 4], 1.0)
+        qubo = assert_matches_reference(poly, 5.0, 5)
+        assert qubo.registry.entries == ((5, 0, 1), (6, 2, 5))
+        assert qubo.polynomial.terms.get((2, 5)) == stored
 
     def test_high_degree_terms_that_cancel_give_no_rounds(self):
         poly = PseudoBooleanPolynomial(4)
