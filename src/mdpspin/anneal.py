@@ -12,7 +12,13 @@ a term of any degree are neighbours, and a variable's level is one more than
 the highest level among its earlier-index neighbours.  A level's variables
 thus share no term and see every earlier neighbour already updated, so the
 level sweep is the index-order sweep, read for read.  The state holds the
-variables in level order, so that a level is a slice of it.  Time to solution
+variables in level order, so that a level is a slice of it.  A move is
+accepted when ``u < exp(field * (x * 2 beta - beta))``, one exponent per
+level: for x in {0, 1}, ``x * 2 beta - beta`` is exactly ``-beta * (1 - 2x)``
+and the flip energy is ``delta = field * (1 - 2x)``, so where delta > 0 the
+exponent is ``-beta * delta`` to the bit, and where delta <= 0 it is >= 0 and
+exp gives at least 1 > u.  That is the Metropolis rule
+``u < exp(-beta * max(delta, 0))`` for every finite beta.  Time to solution
 follows the standard repeated-trial formula
 
     TTS(t) = t * ln(1 - p_d) / ln(1 - p_s)
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -53,6 +60,8 @@ class AnnealSchedule:
             raise ValueError("need at least one sweep")
         if self.num_reads < 1:
             raise ValueError("need at least one read")
+        if not (math.isfinite(self.beta_start) and math.isfinite(self.beta_end)):
+            raise ValueError(f"betas must be finite, got [{self.beta_start!r}, {self.beta_end!r}]")
         if not (0 < self.beta_start <= self.beta_end):
             raise ValueError("need beta_end >= beta_start > 0")
 
@@ -150,6 +159,10 @@ def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
     variables of such a term t that are 0 in read r, and v gains the
     coefficient of each of its terms with ``missing == 1 - x_v``.  A level
     with no such term skips that part, as every level of a QUBO does.  A
+    level flips where ``u < exp(field * (x * 2 beta - beta))``, which is
+    ``u < exp(-beta * max(delta, 0))`` bit for bit (see the module
+    docstring); exp overflows to inf only where delta < 0, a move that both
+    rules accept.  The flip is an xor into the level's rows of ``x``.  A
     sweep updates one level of ``_level_plan`` per numpy step.  A level's
     variables share no term and each one's earlier-index neighbours sit in
     lower levels, so every variable sees the state that the
@@ -169,32 +182,33 @@ def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
     x[:n] = starts.T[order]
     missing = np.ascontiguousarray((table.sizes[high] - table.set_counts(starts, high)).T)
     rank = np.argsort(order)  # x[rank] is the state in variable order
-    for beta in schedule.betas():
-        uniforms = rng.random((reads, n)).T[order]
-        for level in levels:
-            xl = x[level.rows]
-            field = level.coupling @ x
-            if level.terms.size:
-                xo = xl.astype(np.int8)[level.owner]
-                field += level.coeffs @ (missing[level.terms] == 1 - xo)
-            sign = 1.0 - 2.0 * xl
-            delta = field * sign
-            if debug_check:
-                # the level's variables share no term: each delta is a single flip's
-                state = x[rank].astype(np.int8)
-                base = table.energies(state.T)
-                for i, v in enumerate(order[level.rows]):
-                    flipped = state.copy()
-                    flipped[v] ^= 1
-                    np.testing.assert_allclose(
-                        delta[i], table.energies(flipped.T) - base, rtol=0, atol=1e-9,
-                        err_msg=f"incremental dE != full re-evaluation for variable {v}")
-            step = sign * (uniforms[level.rows] < np.exp(-beta * np.maximum(delta, 0.0)))
-            if level.terms.size:
-                missing[level.terms] -= step.astype(np.int8)[level.owner]
-            x[level.rows] += step
+    with np.errstate(over="ignore"):  # exp overflows to inf only on accepted moves
+        for beta in schedule.betas():
+            uniforms = rng.random((reads, n)).T[order]
+            for level in levels:
+                xl = x[level.rows]
+                field = level.coupling @ x
+                if level.terms.size:
+                    xo = xl.astype(np.int8)[level.owner]
+                    field += level.coeffs @ (missing[level.terms] == 1 - xo)
+                if debug_check:
+                    # the level's variables share no term: each delta is a single flip's
+                    delta = field * (1.0 - 2.0 * xl)
+                    state = x[rank].astype(np.int8)
+                    base = table.energies(state.T)
+                    for i, v in enumerate(order[level.rows]):
+                        flipped = state.copy()
+                        flipped[v] ^= 1
+                        np.testing.assert_allclose(
+                            delta[i], table.energies(flipped.T) - base, rtol=0, atol=1e-9,
+                            err_msg=f"incremental dE != full re-evaluation for variable {v}")
+                # for x in {0, 1}, x * 2 beta - beta is -beta * (1 - 2x) to the bit
+                flip = uniforms[level.rows] < np.exp(field * (xl * (2.0 * beta) - beta))
+                if level.terms.size:
+                    missing[level.terms] -= (1 - 2 * xo) * flip[level.owner]
+                np.logical_xor(xl, flip, out=xl, casting="unsafe")
     state = np.ascontiguousarray(x[rank].T, dtype=np.int8)
-    return list(map(SaRead, state, table.energies(state).tolist()))
+    return list(map(tuple.__new__, repeat(SaRead), zip(state, table.energies(state).tolist())))
 
 
 def exhaustive_ground_state(poly: PseudoBooleanPolynomial

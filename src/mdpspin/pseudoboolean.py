@@ -9,7 +9,8 @@ dense enumeration and the annealer share; ``bit_rows`` is the one place that
 knows the enumeration order, in which assignment i has x_v = bit v of i.
 Dense enumeration splits the variables into a low and a high half and sums
 each distinct high-half monomial once, so its one float64 product runs over
-those distinct monomials rather than over all terms.
+those distinct monomials rather than over all terms; it folds the low half a
+fixed block of assignments at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ Monomial = tuple[int, ...]
 
 DROP_TOL = 1e-12
 ENERGY_MATCH_TOL = 1e-9  # energies this close are equal: ties, gaps and hits
+ENUMERATION_BLOCK = 128  # low-half assignments per block of dense enumeration
 
 
 def normalize_monomial(variables: Iterable[int]) -> Monomial:
@@ -196,6 +198,11 @@ def all_assignment_energies(poly: PseudoBooleanPolynomial,
     The energy of (high h, low l) is then the sum of ``weights[l, g]`` over the
     groups g whose high-half variables are all set in h: one float64 product
     whose inner dimension is the number of distinct high-half monomials.
+    ``weights`` is built ``ENUMERATION_BLOCK`` low assignments at a time, each
+    block with its own float32 counts, product and ``np.add.reduceat``, so no
+    (low assignments, terms) temporary is held whole.  The counts are exact
+    integers and ``reduceat`` sums each row alone, so every weight is the float
+    that one block over the whole low half gives.
     Intended for n up to ~26 (the full float64 energy vector is returned).
     """
     n = variable_count(poly, num_variables)
@@ -207,5 +214,12 @@ def all_assignment_energies(poly: PseudoBooleanPolynomial,
     group_of = group_of.reshape(-1)  # numpy 2.0.0 shapes it (1, terms)
     order = np.argsort(group_of, kind="stable")
     starts = np.searchsorted(group_of[order], np.arange(groups.shape[1]))
-    weights = np.add.reduceat(_half_on(lo[:, order]) * table.coeffs[order], starts, axis=1)
+    lo_bits = bit_rows(np.arange(1 << lo.shape[0]), lo.shape[0]).astype(np.float32)
+    lo_terms = lo[:, order].astype(np.float32)
+    lo_sizes, coeffs = lo_terms.sum(axis=0), table.coeffs[order]
+    weights = np.empty((lo_bits.shape[0], groups.shape[1]))
+    for block in range(0, lo_bits.shape[0], ENUMERATION_BLOCK):
+        rows = slice(block, block + ENUMERATION_BLOCK)
+        on = lo_bits[rows] @ lo_terms == lo_sizes
+        np.add.reduceat(on * coeffs, starts, axis=1, out=weights[rows])
     return (_half_on(groups) @ weights.T).reshape(-1)

@@ -5,7 +5,8 @@ way: a chain's walk weight and the dict-frontier walk sum (the compiler's
 walk sum), the Bellman residual
 of a Q table (value iteration), the consistent ancilla values, the QUBO
 minimum over ancillas and the dict-rewriting reduction (order reduction),
-and the inverse of ``flat_index``.
+the one-block dense enumeration (blocked dense enumeration) and the inverse
+of ``flat_index``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from mdpspin.mdp import Mdp
-from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, all_assignment_energies,
-                                   variable_count)
+from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, TermTable, _half_on,
+                                   all_assignment_energies, variable_count)
 from mdpspin.quadratize import (REDUCTION_PENALTY, AncillaRegistry, QuboProblem,
                                 rosenberg_penalty)
 
@@ -75,6 +76,24 @@ def minimized_over_ancillas(qubo: QuboProblem) -> np.ndarray:
     # ancilla ids are the high bits, so a reshape exposes them as the rows
     grid = energies.reshape(1 << reg.num_ancillas, 1 << reg.base_count)
     return grid.min(axis=0)
+
+
+def one_block_assignment_energies(poly: PseudoBooleanPolynomial,
+                                  num_variables: int) -> np.ndarray:
+    """``all_assignment_energies`` with the whole low half as one block.
+
+    It holds the (2^(n // 2), terms) float32 counts and float64 products of
+    every low-half assignment at once, where the library builds its weight
+    table a fixed block of low-half assignments at a time.
+    """
+    table = TermTable(poly, variable_count(poly, num_variables))
+    lo, hi = np.split(table.incidence, [table.incidence.shape[0] // 2])
+    groups, group_of = np.unique(hi, axis=1, return_inverse=True)
+    group_of = group_of.reshape(-1)  # numpy 2.0.0 shapes it (1, terms)
+    order = np.argsort(group_of, kind="stable")
+    starts = np.searchsorted(group_of[order], np.arange(groups.shape[1]))
+    weights = np.add.reduceat(_half_on(lo[:, order]) * table.coeffs[order], starts, axis=1)
+    return (_half_on(groups) @ weights.T).reshape(-1)
 
 
 def unflatten_index(flat_id: int, num_actions: int) -> tuple[int, int]:

@@ -1,10 +1,11 @@
 """Solver tests: exhaustive scan, Metropolis annealing, TTS arithmetic."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from mdpspin.anneal import (AnnealSchedule, SaRead, _level_plan, default_beta_range,
@@ -276,6 +277,19 @@ class TestLevelSweep:
                                               table.coeffs[own])
                 assert not step.coeffs[i, step.owner != i].any()
 
+    def test_matches_the_index_order_sweep_where_the_exponent_overflows(self):
+        # fields near 1e3 at beta 1e3 put exp's argument near 1e6 on accepted moves
+        rng = np.random.default_rng(0)
+        poly = PseudoBooleanPolynomial(8)
+        for _ in range(16):
+            poly.add_term(rng.choice(8, size=rng.integers(1, 5), replace=False),
+                          1000.0 * rng.integers(-3, 4))
+        schedule = AnnealSchedule(6, 1.0, 1e3, num_reads=20, rng_seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reads = simulated_anneal(poly, schedule)
+        assert_same_reads(reads, reference_anneal(poly, schedule))
+
     def test_constant_only_polynomial(self):
         poly = PseudoBooleanPolynomial(0, {(): 1.5})
         schedule = AnnealSchedule(3, 0.1, 1.0, num_reads=4, rng_seed=0)
@@ -427,6 +441,31 @@ def test_default_beta_range_ordering():
     assert 0 < b0 < b1
 
 
+@given(st.sampled_from([0.0, 1.0]), st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(0.0, 1e300, exclude_min=True), st.floats(0.0, 1.0, exclude_max=True))
+@example(0.0, 0.0, 1.0, 0.999).via("a zero field")
+@example(1.0, -0.0, 1e300, 0.999).via("a negative zero field")
+@example(0.0, -1e300, 1e300, 0.5).via("exp overflows on an accepted move")
+@example(1.0, 1e300, 1e300, 0.0).via("exp overflows on an accepted move")
+@example(0.0, 1e-300, 1e-300, 0.0).via("an exponent that underflows")
+@settings(max_examples=300, deadline=None)
+def test_one_exponent_accept_rule_is_the_metropolis_rule(x, field, beta, u):
+    # the annealer's field * (x * 2 beta - beta) against the rule it replaced,
+    # u < exp(-beta * max(delta, 0)) with delta = field * (1 - 2x)
+    x, field, u = np.array([x]), np.array([field]), np.array([u])
+    beta = np.float64(beta)
+    with np.errstate(over="ignore"):
+        delta = field * (1.0 - 2.0 * x)
+        exponent = field * (x * (2.0 * beta) - beta)
+        if delta[0] > 0:
+            assert exponent.tobytes() == (-beta * delta).tobytes()
+        else:
+            assert exponent[0] >= 0
+        old = u < np.exp(-beta * np.maximum(delta, 0.0))
+        new = u < np.exp(exponent)
+    assert old[0] == new[0]
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         AnnealSchedule(0, 0.1, 1.0)
@@ -434,3 +473,7 @@ def test_schedule_validation():
         AnnealSchedule(1, 1.0, 0.5)
     with pytest.raises(ValueError):
         AnnealSchedule(1, 0.1, 1.0, num_reads=0)
+    # an infinite beta makes the Metropolis rule's -beta * 0 a NaN
+    for start, end in [(0.2, math.inf), (math.inf, math.inf), (math.nan, 1.0), (0.2, math.nan)]:
+        with pytest.raises(ValueError, match="betas must be finite"):
+            AnnealSchedule(3, start, end)

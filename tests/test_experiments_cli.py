@@ -302,6 +302,13 @@ class TestCli:
         assert code == 2
         assert f"{missing} is missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("start, end", [("0.2", "inf"), ("nan", "4"), ("inf", "inf")])
+    def test_anneal_rejects_a_non_finite_beta(self, capsys, start, end):
+        code = main(["anneal", "--hallway", "4", "--gamma", "0.9", "--truncation", "2",
+                     "--sweeps", "3", "--reads", "5", "--beta-start", start, "--beta-end", end])
+        assert code == 2
+        assert "betas must be finite" in capsys.readouterr().err
+
     def test_oracle_output(self, capsys):
         code = main(["oracle", "--hallway", "6", "--gamma", "0.99", "--exhaustive"])
         assert code == 0

@@ -10,8 +10,9 @@ import hypothesis.strategies as st
 
 from mdpspin.compiler import CompilerConfig, compile_hamiltonian
 from mdpspin.mdp import build_hallway
-from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, TermTable,
+from mdpspin.pseudoboolean import (ENUMERATION_BLOCK, PseudoBooleanPolynomial, TermTable,
                                    all_assignment_energies, bit_rows, normalize_monomial)
+from oracles import one_block_assignment_energies
 
 
 @st.composite
@@ -225,6 +226,28 @@ def test_all_assignment_energies_groups_terms_by_high_half(n):
     np.testing.assert_allclose(energies, TermTable(poly, n).energies(bit_rows(np.arange(1 << n), n)),
                                rtol=0, atol=atol)
     assert energies.tobytes() == all_assignment_energies(poly, n).tobytes()
+
+
+@pytest.mark.parametrize("size, gamma, order", [(10, 0.9, 5), (6, 0.99, 3)])
+def test_blocked_enumeration_matches_one_block_on_hallways(size, gamma, order):
+    ham = compile_hamiltonian(build_hallway(size, gamma), CompilerConfig(order))
+    assert (all_assignment_energies(ham.polynomial, ham.num_variables).tobytes()
+            == one_block_assignment_energies(ham.polynomial, ham.num_variables).tobytes())
+
+
+@pytest.mark.parametrize("span, extra, blocks", [(11, 1, 0.5), (13, 1, 1), (15, 3, 4),
+                                                  (17, 4, 8)])
+def test_blocked_enumeration_matches_one_block_on_random_polynomials(span, extra, blocks):
+    # the low half holds half a block, one block or several, over a variable
+    # count above the polynomial's span
+    n = span + extra
+    assert 1 << (n // 2) == blocks * ENUMERATION_BLOCK
+    rng = np.random.default_rng(n)
+    poly = PseudoBooleanPolynomial(span)
+    for _ in range(120):
+        poly.add_term(rng.integers(0, span, size=rng.integers(0, 6)), rng.normal())
+    assert (all_assignment_energies(poly, n).tobytes()
+            == one_block_assignment_energies(poly, n).tobytes())
 
 
 def test_all_assignment_energies_peak_memory():
