@@ -450,7 +450,7 @@ def test_default_beta_range_ordering():
 @example(0.0, 1e-300, 1e-300, 0.0).via("an exponent that underflows")
 @settings(max_examples=300, deadline=None)
 def test_one_exponent_accept_rule_is_the_metropolis_rule(x, field, beta, u):
-    # the annealer's field * (x * 2 beta - beta) against the rule it replaced,
+    # the annealer's field * (x * 2 beta - beta) against the Metropolis rule
     # u < exp(-beta * max(delta, 0)) with delta = field * (1 - 2x)
     x, field, u = np.array([x]), np.array([field]), np.array([u])
     beta = np.float64(beta)
