@@ -214,21 +214,29 @@ def _rollout(mdp: Mdp, actions: np.ndarray) -> Iterator[np.ndarray]:
     """Truncated action values of each policy row, at orders 0, 1, 2, ...
 
     ``actions`` holds one policy per row (the action of each state); the
-    k-th table yielded has shape (rows, |S|, |A|) and is
+    k-th array yielded is C-contiguous of shape (|S||A|, rows), column i
+    holding row i's
 
         q_0 = r,   q_k(s, a) = r(s, a) + gamma * sum_s' P[s,a,s'] q_{k-1}(s', pi(s')),
 
-    the expected discounted return of a (k+1)-step rollout that starts with
-    action a in state s and follows the row's policy afterwards.
+    at flat pair s|A| + a: the expected discounted return of a (k+1)-step
+    rollout that starts with action a in state s and follows the row's
+    policy afterwards.  Pair-major, each order gathers the chosen values
+    through one flat index, contracts them with the (|S||A|, |S|)
+    transition matrix by ``np.einsum`` and updates the fresh product in
+    place; a yielded array is never written again.
     """
-    er = mdp.expected_reward()
-    rows = np.arange(actions.shape[0])[:, None]
-    states = np.arange(actions.shape[1])[None, :]
-    q = np.repeat(er[None], actions.shape[0], axis=0)
+    rows = actions.shape[0]
+    r = mdp.expected_reward().reshape(-1, 1)
+    walk = mdp.transition.reshape(mdp.num_pairs, mdp.num_states)
+    pick = (np.arange(mdp.num_states)[:, None] * mdp.num_actions + actions.T) * rows \
+        + np.arange(rows)
+    q = np.repeat(r, rows, axis=1)
     while True:
         yield q
-        chosen = q[rows, states, actions]
-        q = er + mdp.discount * np.einsum("sat,mt->msa", mdp.transition, chosen)
+        q = np.einsum("pt,tm->pm", walk, q.reshape(-1)[pick])
+        q *= mdp.discount
+        q += r
 
 
 def truncated_q_table(mdp: Mdp, policy: PolicyAssignment, order: int) -> np.ndarray:
@@ -236,14 +244,20 @@ def truncated_q_table(mdp: Mdp, policy: PolicyAssignment, order: int) -> np.ndar
 
     Base case is the immediate expected reward; each substitution extends the
     rollout by one step, so the result is the expected discounted return of a
-    (K+1)-step rollout.  Serves as the walk-sum oracle: the compiled objective
-    at a policy's bit vector equals minus the sum of this table (plus the
-    constant offset).
+    (K+1)-step rollout, as an (|S|, |A|) table: the rollout's single column
+    reshaped.  Serves as the walk-sum oracle: the compiled objective at a
+    policy's bit vector equals minus the sum of this table (plus the
+    constant offset).  Raises ValueError when the policy's state or action
+    count is not the model's.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    if (policy.num_states, policy.num_actions) != (mdp.num_states, mdp.num_actions):
+        raise ValueError(f"a policy over {policy.num_states} states and {policy.num_actions} "
+                         f"actions does not fit a model of {mdp.num_states} states and "
+                         f"{mdp.num_actions} actions")
     rollout = _rollout(mdp, policy.actions()[None, :])
-    return next(islice(rollout, order, None))[0]
+    return next(islice(rollout, order, None)).reshape(mdp.num_states, mdp.num_actions)
 
 
 def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
@@ -252,7 +266,8 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
     Scores all |A|^|S| deterministic policies (lexicographic, state 0 most
     significant) by one batched rollout, one Bellman substitution per K from
     1 to k_max; a policy's energy is minus the sum of its K-step truncated Q
-    table.  That is the compiled energy of the policy's bits: walk sum plus
+    values, summed over the pair-major rollout's pairs in order.  That is the
+    compiled energy of the policy's bits: walk sum plus
     offset equals it (the oracle identity) and the one-hot penalty is zero
     on every feasible assignment, so the ranking is the compiled cost
     function's among feasible assignments at any penalty strength.  Nothing
@@ -263,9 +278,12 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
     matches value iteration's greedy policy; returns None when no K <= k_max
     qualifies.  Just past a discount at which the optimal policy changes, the
     least qualifying K rises sharply, because the ground state must resolve a
-    vanishing Q-gap between the two policies.  Raises InstanceTooLargeError
-    above EXHAUSTIVE_MAX_VARIABLES state-action pairs.
+    vanishing Q-gap between the two policies.  Raises ValueError when k_max
+    is below 1, and InstanceTooLargeError above EXHAUSTIVE_MAX_VARIABLES
+    state-action pairs.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     if mdp.num_pairs > EXHAUSTIVE_MAX_VARIABLES:
         raise InstanceTooLargeError(f"{mdp.num_pairs} policy bits exceed the "
                                     f"exhaustive-search limit of {EXHAUSTIVE_MAX_VARIABLES}")
@@ -276,7 +294,7 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
     rollout = _rollout(mdp, actions)
     next(rollout)                       # order 0 does not depend on the policy
     for k in range(1, k_max + 1):
-        energies = -next(rollout).sum(axis=(1, 2))
+        energies = -next(rollout).sum(axis=0)
         order_idx = np.argsort(energies, kind="stable")
         best = order_idx[0]
         # a single policy has no runner-up and is the unique ground state

@@ -2,16 +2,16 @@
 
 Each is a direct, slow statement of a quantity the library computes another
 way: a chain's walk weight and the dict-frontier walk sum (the compiler's
-walk sum), the Bellman residual
-of a Q table (value iteration), the consistent ancilla values, the QUBO
-minimum over ancillas and the dict-rewriting reduction (order reduction),
-the one-block dense enumeration (blocked dense enumeration) and the inverse
-of ``flat_index``.
+walk sum), the state-major Bellman rollout (the compiler's pair-major
+rollout), the Bellman residual of a Q table (value iteration), the
+consistent ancilla values, the QUBO minimum over ancillas and the
+dict-rewriting reduction (order reduction), the one-block dense enumeration
+(blocked dense enumeration) and the inverse of ``flat_index``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -137,6 +137,24 @@ def dict_walk_sum(mdp: Mdp, truncation_order: int) -> PseudoBooleanPolynomial:
     for visited, coeff in coeffs.items():
         poly.add_term([v for v in range(mdp.num_pairs) if visited >> v & 1], coeff)
     return poly
+
+
+def state_major_rollout(mdp: Mdp, actions: np.ndarray) -> Iterator[np.ndarray]:
+    """The truncated action values of each policy row as (rows, |S|, |A|) tables.
+
+    The compiler's rollout held state-major: each order gathers the chosen
+    values by a three-index fancy gather and adds the reward to a fresh,
+    scaled ``np.einsum("sat,mt->msa")`` product, whose policy axis is the
+    fastest in memory.
+    """
+    er = mdp.expected_reward()
+    rows = np.arange(actions.shape[0])[:, None]
+    states = np.arange(actions.shape[1])[None, :]
+    q = np.repeat(er[None], actions.shape[0], axis=0)
+    while True:
+        yield q
+        chosen = q[rows, states, actions]
+        q = er + mdp.discount * np.einsum("sat,mt->msa", mdp.transition, chosen)
 
 
 def dict_quadratize(poly: PseudoBooleanPolynomial,

@@ -14,7 +14,7 @@ from mdpspin.dp import policy_evaluation_exact, value_iteration
 from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp, PolicyAssignment, ValidationError, build_hallway, policy_rows
 from mdpspin.pseudoboolean import DROP_TOL, ENERGY_MATCH_TOL, all_assignment_energies
-from oracles import coupling_coefficient, dict_walk_sum
+from oracles import coupling_coefficient, dict_walk_sum, state_major_rollout
 
 
 def two_state_cycle(reward=5.0, gamma=0.9):
@@ -165,6 +165,17 @@ class TestTruncatedQ:
         with pytest.raises(ValueError):
             truncated_q_table(mdp, bad, 2)
 
+    @pytest.mark.parametrize("policy", [
+        pytest.param(PolicyAssignment.from_actions([1] * 6, 3), id="three-action-policy"),
+        pytest.param(PolicyAssignment.from_actions([2] * 6, 3), id="action-2"),
+        pytest.param(PolicyAssignment.from_actions([1] * 5, 2), id="five-state-policy"),
+    ])
+    def test_mismatched_policy_rejected(self, policy):
+        # a flat gather would read an out-of-range action from the next state's pair
+        with pytest.raises(ValueError, match=rf"{policy.num_states} states and "
+                                             rf"{policy.num_actions} actions .* 6 states and 2"):
+            truncated_q_table(build_hallway(6, 0.9), policy, 2)
+
     def test_matches_exact_policy_evaluation_in_the_limit(self):
         mdp = build_hallway(6, 0.99)
         pol = PolicyAssignment.from_actions([1, 0, 0, 0, 1, 0], 2)
@@ -281,6 +292,11 @@ class TestMinimalTruncationOrder:
     def test_none_when_cap_too_small(self):
         assert minimal_truncation_order(build_hallway(6, 0.9), k_max=1) is None
 
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_order_cap_below_one_rejected(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            minimal_truncation_order(build_hallway(6, 0.9), k_max=k_max)
+
     def test_too_large_instance_rejected(self):
         with pytest.raises(InstanceTooLargeError):
             minimal_truncation_order(build_hallway(13, 0.9))
@@ -330,3 +346,55 @@ class TestMinimalTruncationOrder:
         mdp = build_hallway(5, 0.9)
         zero = Mdp(mdp.transition, np.zeros_like(mdp.reward), 0.9)
         assert minimal_truncation_order(zero, k_max=3) is None
+
+
+def state_major_minimal_order(mdp, k_max):
+    """``minimal_truncation_order`` scored over the state-major rollout."""
+    _, greedy = value_iteration(mdp)
+    actions = policy_rows(mdp.num_states, mdp.num_actions,
+                          np.arange(mdp.num_actions ** mdp.num_states))
+    rollout = state_major_rollout(mdp, actions)
+    next(rollout)
+    for k in range(1, k_max + 1):
+        energies = -next(rollout).sum(axis=(1, 2))
+        order_idx = np.argsort(energies, kind="stable")
+        if len(order_idx) > 1 and energies[order_idx[1]] - energies[order_idx[0]] <= ENERGY_MATCH_TOL:
+            continue
+        if np.array_equal(actions[order_idx[0]], greedy.actions()):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("build, k_max", [
+    *(pytest.param(lambda n=n, gamma=gamma: build_hallway(n, gamma), 10,
+                   id=f"hallway{n}-{gamma}") for n in range(4, 13)
+      for gamma in (0.6, 0.69, 0.7, 0.9, 0.99)),
+    pytest.param(lambda: [dense_random_mdp(seed) for seed in range(40)], 8, id="random0-39"),
+])
+def test_pair_major_rollout_is_the_state_major_one(build, k_max):
+    """The pair-major rollout scores every policy with the state-major
+    rollout's energies, bit for bit, at K = 1..k_max, and gives the same
+    truncated Q tables and minimal K.
+
+    Order 0 is left out of the energy comparison: the state-major order-0
+    table is a contiguous copy of the rewards, which numpy sums pairwise,
+    while every later state-major table and every pair-major one is summed
+    over its pairs in sequence.  The search never reads order 0.
+    """
+    built = build()
+    for mdp in built if isinstance(built, list) else [built]:
+        actions = policy_rows(mdp.num_states, mdp.num_actions,
+                              np.arange(mdp.num_actions ** mdp.num_states))
+        pair_major = compiler._rollout(mdp, actions)
+        state_major = state_major_rollout(mdp, actions)
+        for k in range(k_max + 1):
+            q, expected = next(pair_major), next(state_major)
+            assert q.flags.c_contiguous and q.shape == (mdp.num_pairs, actions.shape[0])
+            if k:
+                assert (-q.sum(axis=0)).tobytes() == (-expected.sum(axis=(1, 2))).tobytes(), k
+        for row in (actions[0], actions[-1]):
+            policy = PolicyAssignment.from_actions(row, mdp.num_actions)
+            tables = state_major_rollout(mdp, row[None, :])
+            for k in range(k_max + 1):
+                assert truncated_q_table(mdp, policy, k).tobytes() == next(tables)[0].tobytes(), k
+        assert minimal_truncation_order(mdp, k_max=k_max) == state_major_minimal_order(mdp, k_max)
