@@ -266,12 +266,12 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
     Scores all |A|^|S| deterministic policies (lexicographic, state 0 most
     significant) by one batched rollout, one Bellman substitution per K from
     1 to k_max; a policy's energy is minus the sum of its K-step truncated Q
-    values, summed over the pair-major rollout's pairs in order.  That is the
-    compiled energy of the policy's bits: walk sum plus
-    offset equals it (the oracle identity) and the one-hot penalty is zero
-    on every feasible assignment, so the ranking is the compiled cost
-    function's among feasible assignments at any penalty strength.  Nothing
-    is compiled, so FRONTIER_LIMIT does not apply.
+    values, added over the pair-major rollout's pairs in order.  That is the
+    compiled energy of the policy's bits: walk sum plus offset equals it
+    (the oracle identity) and the one-hot penalty is zero on every feasible
+    assignment, so the ranking is the compiled cost function's among
+    feasible assignments at any penalty strength.  Nothing is compiled, so
+    FRONTIER_LIMIT does not apply.
 
     A K qualifies when the best policy beats the runner-up by more than
     ENERGY_MATCH_TOL, or is the only policy, and its action at every state

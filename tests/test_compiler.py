@@ -366,7 +366,7 @@ def state_major_minimal_order(mdp, k_max):
 
 
 @pytest.mark.parametrize("build, k_max", [
-    *(pytest.param(lambda n=n, gamma=gamma: build_hallway(n, gamma), 10,
+    *(pytest.param(lambda n=n, gamma=gamma: [build_hallway(n, gamma)], 10,
                    id=f"hallway{n}-{gamma}") for n in range(4, 13)
       for gamma in (0.6, 0.69, 0.7, 0.9, 0.99)),
     pytest.param(lambda: [dense_random_mdp(seed) for seed in range(40)], 8, id="random0-39"),
@@ -381,8 +381,7 @@ def test_pair_major_rollout_is_the_state_major_one(build, k_max):
     while every later state-major table and every pair-major one is summed
     over its pairs in sequence.  The search never reads order 0.
     """
-    built = build()
-    for mdp in built if isinstance(built, list) else [built]:
+    for mdp in build():
         actions = policy_rows(mdp.num_states, mdp.num_actions,
                               np.arange(mdp.num_actions ** mdp.num_states))
         pair_major = compiler._rollout(mdp, actions)
