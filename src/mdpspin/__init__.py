@@ -20,7 +20,7 @@ from .pseudoboolean import (Monomial, PseudoBooleanPolynomial, all_assignment_en
                             normalize_monomial)
 from .quadratize import (AncillaRegistry, QuboProblem, consistency_violations, project,
                          quadratize, rosenberg_penalty, to_qubo_text)
-from .resources import GateVolume, ResourceReport, count_resources, qaoa_gate_volume, scaling_fit
+from .resources import ResourceReport, count_resources, scaling_fit
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -244,12 +244,16 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--sizes", type=int, nargs="+")
             p.add_argument("--gammas", type=float, nargs="+")
             p.add_argument("--k-max", type=int, dest="k_max")
+        # each subcommand registers only the flags its runner reads
+        if name == "tts-sweep":
             p.add_argument("--sweep-grid", type=int, nargs="+", dest="sweep_grid")
-        p.add_argument("--truncation", type=int)
-        p.add_argument("--penalty-strength", type=float, dest="penalty_strength")
-        p.add_argument("--reduction-penalty", type=float, dest="reduction_penalty")
-        p.add_argument("--num-reads", type=int, dest="num_reads")
-        p.add_argument("--seed", type=int)
+        if name != "k-heatmap":  # the K search compiles nothing
+            p.add_argument("--truncation", type=int)
+            p.add_argument("--penalty-strength", type=float, dest="penalty_strength")
+            p.add_argument("--reduction-penalty", type=float, dest="reduction_penalty")
+        if name not in ("k-heatmap", "resources"):  # the runners that anneal
+            p.add_argument("--num-reads", type=int, dest="num_reads")
+            p.add_argument("--seed", type=int)
         p.add_argument("--out", dest="out_dir", help="output directory")
         p.set_defaults(func=_cmd_single if single else _cmd_grid)
 

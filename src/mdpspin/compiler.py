@@ -49,8 +49,9 @@ class CompilerConfig:
     def __post_init__(self):
         if self.truncation_order < 1:
             raise ValueError("truncation order must be >= 1")
-        if self.penalty_strength <= 0:
-            raise ValueError("penalty strength must be positive")
+        if not 0 < self.penalty_strength < np.inf:
+            raise ValueError(f"penalty strength must be finite and positive, "
+                             f"got {self.penalty_strength!r}")
 
 
 @dataclass(frozen=True)

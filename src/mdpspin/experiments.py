@@ -16,7 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 from .anneal import (DESIRED_PROBABILITY, AnnealSchedule, SaRead, default_beta_range,
                      exhaustive_ground_state, simulated_anneal, success_probability,
@@ -29,7 +29,7 @@ from .mdp import HALLWAY_SLIP, Mdp, PolicyAssignment, build_hallway, terminal_st
 from .pseudoboolean import ENERGY_MATCH_TOL
 from .quadratize import (REDUCTION_PENALTY, QuboProblem, consistency_violations, project,
                          quadratize)
-from .resources import count_resources
+from .resources import ResourceReport, count_resources
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,30 @@ def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance | None:
     return Instance(mdp, k, ham, qubo)
 
 
-def _grid(config: ExperimentConfig) -> Iterator[tuple[int, float]]:
-    """(size, gamma) cells in instance-key order."""
+def _hallway(config: ExperimentConfig, num_states: int, gamma: float) -> Instance:
+    """The prepared hallway of a single-instance runner; a ValueError when no
+    K <= ``config.k_max`` recovers its optimal policy."""
+    inst = prepare(build_hallway(num_states, gamma, config.slip), config)
+    if inst is None:
+        raise ValueError(f"no truncation order <= {config.k_max} recovers the "
+                         f"optimal policy for |S|={num_states}, gamma={gamma}")
+    return inst
+
+
+def _cells(config: ExperimentConfig, step: Callable[[Mdp], dict]) -> list[dict]:
+    """One dict per grid hallway in instance-key order: its size and discount,
+    then ``step(mdp)``'s fields, or a ``status`` of ``unavailable: <reason>``
+    when the hallway is too large for the step."""
+    cells = []
     for size in sorted(config.sizes):
         for gamma in sorted(config.gammas):
-            yield size, gamma
+            cell: dict = {"num_states": size, "gamma": gamma}
+            try:
+                cell.update(step(build_hallway(size, gamma, config.slip)))
+            except InstanceTooLargeError as e:
+                cell["status"] = f"unavailable: {e}"
+            cells.append(cell)
+    return cells
 
 
 def _anneal(inst: Instance, config: ExperimentConfig,
@@ -139,12 +158,21 @@ def _write(out_dir: str | None, filename: str, text: str) -> str | None:
     return path
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_tables(config: ExperimentConfig, experiment: str,
+                  tables: dict[str, tuple[list[str], list[list]]]) -> None:
+    """Write each ``filename: (header, rows)`` CSV table, then the config JSON
+    ``<experiment>_config.json``, to ``config.out_dir``; nothing without one."""
+    files = {}
+    for filename, (header, rows) in tables.items():
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        files[filename] = buf.getvalue()
+    files[f"{experiment.replace('-', '_')}_config.json"] = json.dumps(
+        config.as_dict(experiment), indent=1)
+    for filename, text in files.items():
+        _write(config.out_dir, filename, text)
 
 
 def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
@@ -154,12 +182,8 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
     Agreement requires every exhaustive minimizer to be feasible with interior
     actions equal to value iteration's.
     """
-    mdp = build_hallway(num_states, gamma, config.slip)
-    inst = prepare(mdp, config)
-    if inst is None:
-        raise ValueError(f"no truncation order <= {config.k_max} recovers the "
-                         f"optimal policy for |S|={num_states}, gamma={gamma}")
-    k, ham, qubo = inst.truncation, inst.ham, inst.qubo
+    inst = _hallway(config, num_states, gamma)
+    mdp, k, ham, qubo = inst.mdp, inst.truncation, inst.ham, inst.qubo
     _, greedy = value_iteration(mdp)
     vi_interior = _interior(greedy)
 
@@ -209,26 +233,17 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
 
 def run_k_heatmap(config: ExperimentConfig) -> list[dict]:
     """Minimal truncation order per (|S|, gamma) cell."""
-    rows: list[dict] = []
-    for size, gamma in _grid(config):
-        mdp = build_hallway(size, gamma, config.slip)
-        cell: dict = {"num_states": size, "gamma": gamma}
-        try:
-            k = minimal_truncation_order(mdp, k_max=config.k_max)
-            cell["minimal_k"] = k
-            cell["status"] = "ok" if k is not None else "not-found"
-        except InstanceTooLargeError as e:
-            cell["minimal_k"] = None
-            cell["status"] = f"unavailable: {e}"
-        rows.append(cell)
-    table = _csv_text(
+    def step(mdp: Mdp) -> dict:
+        k = minimal_truncation_order(mdp, k_max=config.k_max)
+        return {"minimal_k": k, "status": "ok" if k is not None else "not-found"}
+
+    rows = _cells(config, step)
+    for r in rows:
+        r.setdefault("minimal_k", None)
+    _write_tables(config, "k-heatmap", {"k_heatmap.csv": (
         ["num_states", "gamma", "minimal_k", "status"],
         [[r["num_states"], r["gamma"],
-          "" if r["minimal_k"] is None else r["minimal_k"], r["status"]] for r in rows],
-    )
-    _write(config.out_dir, "k_heatmap.csv", table)
-    _write(config.out_dir, "k_heatmap_config.json",
-           json.dumps(config.as_dict("k-heatmap"), indent=1))
+          "" if r["minimal_k"] is None else r["minimal_k"], r["status"]] for r in rows])})
     return rows
 
 
@@ -239,46 +254,32 @@ def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
     for the K search or the exhaustive ground state ``unavailable: <reason>``;
     neither gets TTS rows.
     """
-    out: list[dict] = []
-    for size, gamma in _grid(config):
-        try:
-            inst = prepare(build_hallway(size, gamma, config.slip), config)
-            if inst is None:
-                out.append({"num_states": size, "gamma": gamma, "status": "no-truncation"})
-                continue
-            ground = inst.ground()[1]
-        except InstanceTooLargeError as e:
-            out.append({"num_states": size, "gamma": gamma, "status": f"unavailable: {e}"})
-            continue
+    def step(mdp: Mdp) -> dict:
+        inst = prepare(mdp, config)
+        if inst is None:
+            return {"status": "no-truncation"}
+        ground = inst.ground()[1]
         result = tts_sweep(inst.qubo.polynomial, ground, config.sweep_grid,
                            config.num_reads, config.desired_probability, rng_seed=config.seed)
-        out.append({"num_states": size, "gamma": gamma, "truncation": inst.truncation,
-                    "variables": inst.qubo.num_variables, "ground_energy": ground,
-                    "result": result, "status": "ok"})
-    rows = []
-    for item in out:
-        if item["status"] != "ok":
-            continue
-        for row in item["result"].rows:
-            est = row.estimate
-            rows.append([item["num_states"], item["gamma"], item["truncation"],
-                         item["variables"], row.num_sweeps,
-                         est.success_probability, est.std_error, est.effort,
-                         est.value, tts_std_error(est), est.status])
-    table = _csv_text(
-        ["num_states", "gamma", "truncation", "variables", "num_sweeps",
-         "p_s", "p_s_stderr", "effort", "tts", "tts_stderr", "status"], rows)
-    _write(config.out_dir, "tts_sweep.csv", table)
-    summary = _csv_text(
-        ["num_states", "gamma", "optimal_num_sweeps", "optimal_tts"],
-        [[i["num_states"], i["gamma"],
-          i["result"].optimal_num_sweeps if i["status"] == "ok" else "",
-          i["result"].optimal.estimate.value
-          if i["status"] == "ok" and i["result"].optimal else ""]
-         for i in out])
-    _write(config.out_dir, "tts_sweep_summary.csv", summary)
-    _write(config.out_dir, "tts_sweep_config.json",
-           json.dumps(config.as_dict("tts-sweep"), indent=1))
+        return {"truncation": inst.truncation, "variables": inst.qubo.num_variables,
+                "ground_energy": ground, "result": result, "status": "ok"}
+
+    out = _cells(config, step)
+    rows = [[i["num_states"], i["gamma"], i["truncation"], i["variables"], row.num_sweeps,
+             row.estimate.success_probability, row.estimate.std_error, row.estimate.effort,
+             row.estimate.value, tts_std_error(row.estimate), row.estimate.status]
+            for i in out if i["status"] == "ok" for row in i["result"].rows]
+    summary = [[i["num_states"], i["gamma"],
+                i["result"].optimal_num_sweeps if i["status"] == "ok" else "",
+                i["result"].optimal.estimate.value
+                if i["status"] == "ok" and i["result"].optimal else ""]
+               for i in out]
+    _write_tables(config, "tts-sweep", {
+        "tts_sweep.csv": (["num_states", "gamma", "truncation", "variables", "num_sweeps",
+                           "p_s", "p_s_stderr", "effort", "tts", "tts_stderr", "status"],
+                          rows),
+        "tts_sweep_summary.csv": (["num_states", "gamma", "optimal_num_sweeps",
+                                   "optimal_tts"], summary)})
     return out
 
 
@@ -287,38 +288,26 @@ def run_resources(config: ExperimentConfig) -> list[dict]:
 
     Cells with no qualifying K, or too large for the K search, are skipped.
     """
-    rows: list[dict] = []
-    for size, gamma in _grid(config):
-        try:
-            inst = prepare(build_hallway(size, gamma, config.slip), config)
-        except InstanceTooLargeError:
-            continue
+    def step(mdp: Mdp) -> dict:
+        inst = prepare(mdp, config)
         if inst is None:
-            continue
-        report = count_resources(inst.qubo, truncation=inst.truncation, discount=gamma,
-                                 num_states=size, num_actions=inst.mdp.num_actions)
-        rows.append({"num_states": size, "gamma": gamma, "report": report})
-    table = _csv_text(
-        ["num_states", "gamma", "truncation", "base_variables",
-         "logical_variables", "coefficient_count", "fit_value",
-         "qaoa_ancilla", "qaoa_worst_log2"],
-        [[r["num_states"], r["gamma"], r["report"].truncation,
-          r["report"].base_variables, r["report"].logical_variables,
-          r["report"].coefficient_count, r["report"].fit_value,
-          r["report"].qaoa_gate_volume_ancilla.value,
-          r["report"].qaoa_gate_volume_worst.log2] for r in rows])
-    _write(config.out_dir, "resources.csv", table)
-    _write(config.out_dir, "resources_config.json",
-           json.dumps(config.as_dict("resources"), indent=1))
+            return {"status": "no-truncation"}
+        return {"report": count_resources(inst.qubo, truncation=inst.truncation,
+                                          discount=mdp.discount, num_states=mdp.num_states,
+                                          num_actions=mdp.num_actions),
+                "status": "ok"}
+
+    rows = [r for r in _cells(config, step) if r["status"] == "ok"]
+    _write_tables(config, "resources", {"resources.csv": (
+        ["num_states", "gamma", *(f.name for f in dataclasses.fields(ResourceReport))],
+        [[r["num_states"], r["gamma"], *dataclasses.astuple(r["report"])] for r in rows])})
     return rows
 
 
 def run_oracle_compare(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
     """Pairwise interior-policy agreement across every solver family."""
-    mdp = build_hallway(num_states, gamma, config.slip)
-    inst = prepare(mdp, config)
-    if inst is None:
-        raise ValueError("no suitable truncation order; pass one explicitly")
+    inst = _hallway(config, num_states, gamma)
+    mdp = inst.mdp
     _, greedy = value_iteration(mdp)
     vi = _interior(greedy)
     best_pol, _, _ = best_policy_exhaustive(mdp)

@@ -114,8 +114,9 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = REDUCTI
     leaves the incidence as the term (w, z) of ``low``, the degree <= 2
     terms, which are the result's.
     """
-    if reduction_penalty <= 0:
-        raise ValueError("reduction penalty must be positive")
+    if not 0 < reduction_penalty < np.inf:
+        raise ValueError(f"reduction penalty must be finite and positive, "
+                         f"got {reduction_penalty!r}")
     base = variable_count(poly, num_variables)
     # the gadget over x=0, y=1, z=2, less any coefficient within DROP_TOL
     gadget = list(rosenberg_penalty(0, 1, 2, reduction_penalty).terms.items())

@@ -97,6 +97,11 @@ class TestCompile:
         with pytest.raises(ValidationError):
             compile_hamiltonian(Mdp(P, mdp.reward, 0.99), CompilerConfig(2, 3.0))
 
+    @pytest.mark.parametrize("strength", [0.0, -1.0, float("nan"), float("inf")])
+    def test_penalty_strength_must_be_finite_and_positive(self, strength):
+        with pytest.raises(ValueError, match="penalty strength must be finite and positive"):
+            CompilerConfig(2, strength)
+
 
 @st.composite
 def small_sparse_mdps(draw):

@@ -490,20 +490,25 @@ class TestCli:
         config_file = tmp_path / "exp.cfg"
         config_file.write_text("num_qlearning_seeds = 1\nqlearning_episodes = 50\n")
         out = tmp_path / "out"
-        args = [command, "--config", str(config_file), "--truncation", "2",
-                "--penalty-strength", "3.5", "--reduction-penalty", "6.5",
-                "--num-reads", "4", "--seed", "7", "--out", str(out)]
-        expected = dict(truncation=2, penalty_strength=3.5,
-                        reduction_penalty=6.5, num_reads=4, seed=7,
-                        num_qlearning_seeds=1, qlearning_episodes=50, out_dir=str(out))
+        args = [command, "--config", str(config_file), "--out", str(out)]
+        expected = dict(num_qlearning_seeds=1, qlearning_episodes=50, out_dir=str(out))
+        if command != "k-heatmap":
+            args += ["--truncation", "2", "--penalty-strength", "3.5",
+                     "--reduction-penalty", "6.5"]
+            expected.update(truncation=2, penalty_strength=3.5, reduction_penalty=6.5)
+        if command not in ("k-heatmap", "resources"):
+            args += ["--num-reads", "4", "--seed", "7"]
+            expected.update(num_reads=4, seed=7)
         single = command in ("solve", "oracle-compare")
         if single:
             args += ["--num-states", "5", "--gamma", "0.9", "--num-sweeps", "2"]
             expected.update(num_sweeps=2)
         else:
-            args += ["--sizes", "4", "5", "--gammas", "0.6", "--k-max", "3",
-                     "--sweep-grid", "1", "2"]
-            expected.update(sizes=(4, 5), gammas=(0.6,), k_max=3, sweep_grid=(1, 2))
+            args += ["--sizes", "4", "5", "--gammas", "0.6", "--k-max", "3"]
+            expected.update(sizes=(4, 5), gammas=(0.6,), k_max=3)
+        if command == "tts-sweep":
+            args += ["--sweep-grid", "1", "2"]
+            expected.update(sweep_grid=(1, 2))
         assert main(args) == 0
         (path,) = out.glob("*.json")
         written = json.loads(path.read_text())
@@ -512,3 +517,45 @@ class TestCli:
             assert written["instance"]["gamma"] == 0.9
             written = written["config"]
         assert written == json.loads(json.dumps(ExperimentConfig(**expected).as_dict(command)))
+
+    @pytest.mark.parametrize("command, flag", [
+        ("k-heatmap", "--truncation"), ("k-heatmap", "--penalty-strength"),
+        ("k-heatmap", "--reduction-penalty"), ("k-heatmap", "--num-reads"),
+        ("k-heatmap", "--seed"), ("k-heatmap", "--sweep-grid"),
+        ("resources", "--num-reads"), ("resources", "--seed"), ("resources", "--sweep-grid"),
+    ])
+    def test_a_grid_refuses_a_flag_its_runner_does_not_read(self, tmp_path, capsys,
+                                                            command, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--sizes", "4", "--gammas", "0.6", flag, "1",
+                  "--out", str(tmp_path)])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["solve", "oracle-compare"])
+    def test_single_instance_without_a_qualifying_order_names_k_max(self, tmp_path, capsys,
+                                                                     command):
+        # hallway(6, 0.7) needs K = 5
+        path = tmp_path / "exp.cfg"
+        path.write_text("k_max = 3\n")
+        assert main([command, "--config", str(path), "--num-states", "6",
+                     "--gamma", "0.7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: no truncation order <= 3 recovers the optimal policy "
+                       "for |S|=6, gamma=0.7\n")
+
+    @pytest.mark.parametrize("command, message", [
+        (["compile", "--truncation", "2", "--penalty", "nan"], "penalty strength"),
+        (["quadratize", "--truncation", "3", "--m-or", "inf"], "reduction penalty"),
+        (["anneal", "--truncation", "3", "--m-or", "nan", "--reads", "5", "--sweeps", "2",
+          "--beta-start", "0.1", "--beta-end", "1"], "reduction penalty"),
+    ], ids=["compile", "quadratize", "anneal"])
+    def test_a_non_finite_penalty_strength_exits_2(self, tmp_path, capsys, command, message):
+        code = main(command + ["--hallway", "5", "--gamma", "0.9", "--out", str(tmp_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message} must be finite and positive, got ")
+        assert not list(tmp_path.iterdir())

@@ -240,6 +240,13 @@ def test_num_variables_below_the_span_is_refused():
     with pytest.raises(ValueError, match="variable span"):
         quadratize(poly, 5.0, num_variables=2)
 
+
+@pytest.mark.parametrize("strength", [0.0, -1.0, float("nan"), float("inf")])
+def test_reduction_penalty_must_be_finite_and_positive(strength):
+    poly = PseudoBooleanPolynomial(3).add_term([0, 1, 2], 1.0)
+    with pytest.raises(ValueError, match="reduction penalty must be finite and positive"):
+        quadratize(poly, strength)
+
 class TestLiftProject:
     REG = AncillaRegistry(base_count=3, entries=((3, 0, 1), (4, 3, 2)))
 

@@ -1,14 +1,12 @@
 """Resource-metric tests: counts, the scaling fit, gate-volume indicators."""
 
-import math
-
 import pytest
 
 from mdpspin.compiler import CompilerConfig, compile_hamiltonian
 from mdpspin.mdp import build_hallway
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial
 from mdpspin.quadratize import quadratize
-from mdpspin.resources import count_resources, qaoa_gate_volume, scaling_fit
+from mdpspin.resources import count_resources, scaling_fit
 
 
 def test_count_small_quadratic():
@@ -32,7 +30,7 @@ def test_counts_include_ancillas_and_context_fields():
     assert report.logical_variables == 12 + qubo.registry.num_ancillas
     assert report.coefficient_count == sum(1 for m in qubo.polynomial.terms if m)
     assert report.fit_value == pytest.approx(scaling_fit(6, 2, 3, 0.9))
-    assert report.qaoa_gate_volume_ancilla.value == 3 * 12
+    assert report.qaoa_ancilla == 3 * 12
 
 
 def test_scaling_fit_published_point():
@@ -49,29 +47,28 @@ def test_scaling_fit_linearities():
         scaling_fit(0, 2, 3, 0.9)
 
 
+def _report(num_states, num_actions, truncation):
+    """The report of a fixed small QUBO; the indicators read only the sizes."""
+    poly = PseudoBooleanPolynomial(2).add_term([0, 1], 1.0)
+    return count_resources(quadratize(poly, 5.0), truncation=truncation, discount=0.9,
+                           num_states=num_states, num_actions=num_actions)
+
+
 class TestGateVolume:
-    def test_ancilla_mode(self):
-        assert qaoa_gate_volume(6, 2, 3, 1, "ancilla").value == 36
+    def test_ancilla_indicator(self):
+        assert _report(6, 2, 3).qaoa_ancilla == 36
 
-    def test_worst_mode_small(self):
-        assert qaoa_gate_volume(2, 1, 1, 1, "worst").value == 4.0
+    def test_worst_indicator_small(self):
+        # 2^(K * |S x A|^K) = 2^(1 * 2^1) = 4
+        assert _report(2, 1, 1).qaoa_worst_log2 == 2.0
 
-    def test_depth_doubles_both_modes(self):
-        for mode in ("worst", "ancilla"):
-            v1 = qaoa_gate_volume(2, 1, 1, 1, mode)
-            v2 = qaoa_gate_volume(2, 1, 1, 2, mode)
-            assert v2.value == 2 * v1.value
+    def test_worst_indicator_is_kept_as_its_logarithm(self):
+        # 2^(3 * 12^3) is past float64, its log2 is not
+        assert _report(6, 2, 3).qaoa_worst_log2 == pytest.approx(3 * 12 ** 3)
 
-    def test_overflow_guarded_by_logarithm(self):
-        vol = qaoa_gate_volume(6, 2, 3, 1, "worst")
-        assert vol.value == math.inf
-        assert vol.log2 == pytest.approx(3 * 12 ** 3)
-
-    def test_bad_mode_and_args(self):
+    def test_bad_sizes(self):
         with pytest.raises(ValueError):
-            qaoa_gate_volume(6, 2, 3, 1, "typical")
-        with pytest.raises(ValueError):
-            qaoa_gate_volume(6, 2, 0, 1, "worst")
+            _report(6, 2, 0)
 
 
 def test_counts_monotone_in_truncation_order():
