@@ -37,8 +37,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .pseudoboolean import (ENERGY_MATCH_TOL, PseudoBooleanPolynomial, TermTable,
-                           all_assignment_energies, bit_rows)
+from .pseudoboolean import (PseudoBooleanPolynomial, TermTable, all_assignment_energies,
+                           bit_rows, energies_match)
 
 DESIRED_PROBABILITY = 0.99  # the p_d of TTS99
 EXHAUSTIVE_MAX_VARIABLES = 24
@@ -222,7 +222,9 @@ def exhaustive_ground_state(poly: PseudoBooleanPolynomial
         )
     energies = all_assignment_energies(poly, n)
     best = float(energies.min())
-    idx = np.flatnonzero(energies <= best + ENERGY_MATCH_TOL)
+    # matched 2^16 assignments at a time, so the match's gap array stays small
+    idx = np.flatnonzero([energies_match(row, best)
+                          for row in energies.reshape(-1, min(energies.size, 1 << 16))])
     if idx.size > EXHAUSTIVE_MAX_MINIMIZERS:
         raise InstanceTooLargeError(
             f"{idx.size} degenerate minimizers; refusing to materialize them"
@@ -242,7 +244,7 @@ def success_probability(reads: Sequence[SaRead], ground_energy: float,
         raise ValueError("success probability needs at least one read")
     if target_bits is None:
         energies = np.fromiter((r.energy for r in reads), np.float64, len(reads))
-        hits = int(np.count_nonzero(np.abs(energies - ground_energy) <= ENERGY_MATCH_TOL))
+        hits = int(np.count_nonzero(energies_match(energies, ground_energy)))
     else:
         ref = np.asarray(target_bits, dtype=np.int8)
         leading = np.array([r.assignment[:ref.size] for r in reads])

@@ -278,28 +278,22 @@ def _cmd_single(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    config = _experiment_config(args)
-    if args.command == "k-heatmap":
-        rows = run_k_heatmap(config)
-        for r in rows:
-            print(f"|S|={r['num_states']} gamma={r['gamma']}: "
-                  f"K={r['minimal_k']} ({r['status']})")
-    elif args.command == "tts-sweep":
-        items = run_tts_sweep(config)
-        for item in items:
-            if item["status"] != "ok":
-                print(f"|S|={item['num_states']} gamma={item['gamma']}: {item['status']}")
-                continue
-            opt = item["result"].optimal
-            print(f"|S|={item['num_states']} gamma={item['gamma']}: "
-                  f"n_s*={item['result'].optimal_num_sweeps} "
+    runner = {"k-heatmap": run_k_heatmap, "tts-sweep": run_tts_sweep,
+              "resources": run_resources}[args.command]
+    for cell in runner(_experiment_config(args)):
+        head = f"|S|={cell['num_states']} gamma={cell['gamma']}: "
+        if args.command == "k-heatmap":
+            print(f"{head}K={cell['minimal_k']} ({cell['status']})")
+        elif cell["status"] != "ok":
+            print(head + cell["status"])
+        elif args.command == "tts-sweep":
+            opt = cell["result"].optimal
+            print(f"{head}n_s*={cell['result'].optimal_num_sweeps} "
                   f"TTS*={opt.estimate.value if opt else math.nan:.6g}")
-    else:
-        rows = run_resources(config)
-        for r in rows:
-            rep = r["report"]
-            print(f"|S|={r['num_states']} gamma={r['gamma']}: K={rep.truncation} "
-                  f"|V|={rep.logical_variables} |J|={rep.coefficient_count}")
+        else:
+            rep = cell["report"]
+            print(f"{head}K={rep.truncation} |V|={rep.logical_variables} "
+                  f"|J|={rep.coefficient_count}")
     return 0
 
 

@@ -27,11 +27,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .anneal import EXHAUSTIVE_MAX_VARIABLES
-from .dp import value_iteration
+from .dp import policy_count, value_iteration
 from .errors import InstanceTooLargeError
 from .mdp import Mdp, PolicyAssignment, flat_index, policy_rows
-from .pseudoboolean import DROP_TOL, ENERGY_MATCH_TOL, PseudoBooleanPolynomial
+from .pseudoboolean import DROP_TOL, PseudoBooleanPolynomial, energies_match
 
 # merged states of one walk frontier.  A compile's peak RSS grows by about
 # 220 B per state of its largest merged frontier (hallway(12, 0.9): 6.4 MiB
@@ -39,6 +38,11 @@ from .pseudoboolean import DROP_TOL, ENERGY_MATCH_TOL, PseudoBooleanPolynomial
 # unmerged extension of one order (about 4x the frontier it extends, 2x the
 # merged result) and the coefficient rows; so about 220 MB at the limit
 FRONTIER_LIMIT = 1_000_000
+# rows of one order's unmerged extension, refused before it is built.
+# Extending and merging peak at 82-98 B per row with one mask word (traced:
+# 97 MB for the 1,179,648 rows of a dense random 8x3 model at K=5, 24 MB for
+# the 248,392 of hallway(12, 0.9) at K=10), so about 200 MB at the limit
+EXTENSION_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,8 @@ def compile_hamiltonian(mdp: Mdp, config: CompilerConfig) -> CompiledHamiltonian
     row by its pruned successors at once and merges equal keys in the order
     a dict would first have seen them, summing in generation order, so
     every coefficient is the one that dict accumulation gives.  Raises
-    InstanceTooLargeError when a merged frontier passes FRONTIER_LIMIT
+    InstanceTooLargeError, before extending, when an extension would pass
+    EXTENSION_LIMIT rows, and when a merged frontier passes FRONTIER_LIMIT
     states.
     """
     na = mdp.num_actions
@@ -191,6 +196,10 @@ def compile_hamiltonian(mdp: Mdp, config: CompilerConfig) -> CompiledHamiltonian
         coeff_values.append(scale * weight[rewarded] * er_flat[pair[rewarded]])
         if depth == config.truncation_order:
             break
+        rows = table[1][pair].sum()
+        if rows > EXTENSION_LIMIT:
+            raise InstanceTooLargeError(f"walk extension of {rows} rows passes the limit of "
+                                        f"{EXTENSION_LIMIT} at order {depth + 1}")
         pair, weight, mask = _extend(pair, weight, mask, table)
         first, weight = _merge(mask, weight, pair)
         if first.size > FRONTIER_LIMIT:
@@ -274,32 +283,26 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
     feasible assignments at any penalty strength.  Nothing is compiled, so
     FRONTIER_LIMIT does not apply.
 
-    A K qualifies when the best policy beats the runner-up by more than
-    ENERGY_MATCH_TOL, or is the only policy, and its action at every state
-    matches value iteration's greedy policy; returns None when no K <= k_max
+    A K qualifies when no other policy's energy matches the best's
+    (``energies_match``), and the best's action at every state matches
+    value iteration's greedy policy; returns None when no K <= k_max
     qualifies.  Just past a discount at which the optimal policy changes, the
     least qualifying K rises sharply, because the ground state must resolve a
     vanishing Q-gap between the two policies.  Raises ValueError when k_max
-    is below 1, and InstanceTooLargeError above EXHAUSTIVE_MAX_VARIABLES
-    state-action pairs.
+    is below 1, and InstanceTooLargeError (``dp.policy_count``) past
+    ENUMERATION_LIMIT policies.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if mdp.num_pairs > EXHAUSTIVE_MAX_VARIABLES:
-        raise InstanceTooLargeError(f"{mdp.num_pairs} policy bits exceed the "
-                                    f"exhaustive-search limit of {EXHAUSTIVE_MAX_VARIABLES}")
-    _, greedy = value_iteration(mdp)
-    target = greedy.actions()
-    actions = policy_rows(mdp.num_states, mdp.num_actions,
-                          np.arange(mdp.num_actions ** mdp.num_states))
+    actions = policy_rows(mdp.num_states, mdp.num_actions, np.arange(policy_count(mdp)))
+    target = value_iteration(mdp)[1].actions()
     rollout = _rollout(mdp, actions)
     next(rollout)                       # order 0 does not depend on the policy
     for k in range(1, k_max + 1):
         energies = -next(rollout).sum(axis=0)
-        order_idx = np.argsort(energies, kind="stable")
-        best = order_idx[0]
+        best = energies.argmin()
         # a single policy has no runner-up and is the unique ground state
-        if len(order_idx) > 1 and energies[order_idx[1]] - energies[best] <= ENERGY_MATCH_TOL:
+        if np.count_nonzero(energies_match(energies, energies[best])) > 1:
             continue
         if np.array_equal(actions[best], target):
             return k

@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import InstanceTooLargeError
 from .mdp import Mdp, PolicyAssignment, policy_rows
-from .pseudoboolean import ENERGY_MATCH_TOL
+from .pseudoboolean import energies_match
 
-ENUMERATION_LIMIT = 1 << 24
+ENUMERATION_LIMIT = 1 << 16  # deterministic policies of one policy-grid search
 _BATCH_FLOATS = 1 << 21    # system entries per batch of best_policy_exhaustive, 16 MB
 
 
@@ -63,6 +63,15 @@ def policy_evaluation_exact(mdp: Mdp, policy: PolicyAssignment) -> np.ndarray:
     return _exact_q(mdp, policy.actions()[None])[0]
 
 
+def policy_count(mdp: Mdp) -> int:
+    """|A|^|S|, the size of the policy grid; InstanceTooLargeError past ENUMERATION_LIMIT."""
+    count = mdp.num_actions ** mdp.num_states
+    if count > ENUMERATION_LIMIT:
+        raise InstanceTooLargeError(f"{count} deterministic policies exceed the "
+                                    f"enumeration limit of {ENUMERATION_LIMIT}")
+    return count
+
+
 def best_policy_exhaustive(mdp: Mdp
                            ) -> tuple[PolicyAssignment, float, list[PolicyAssignment]]:
     """Policy maximizing the exact action-value sum over all pairs.
@@ -73,19 +82,14 @@ def best_policy_exhaustive(mdp: Mdp
     so the winner is what the compiled ground state should converge to as
     the truncation order grows.
     """
-    n, na = mdp.num_states, mdp.num_actions
-    count = na ** n
-    if count > ENUMERATION_LIMIT:
-        raise InstanceTooLargeError(
-            f"{count} deterministic policies exceed the enumeration limit"
-        )
+    n, na, count = mdp.num_states, mdp.num_actions, policy_count(mdp)
     batch = max(1, _BATCH_FLOATS // mdp.num_pairs ** 2)
     totals = np.concatenate([
         _exact_q(mdp, policy_rows(n, na, np.arange(lo, min(lo + batch, count))))
         .reshape(-1, mdp.num_pairs).sum(axis=1)
         for lo in range(0, count, batch)])
     best = int(totals.argmax())
-    tied = np.flatnonzero(np.abs(totals - totals[best]) <= ENERGY_MATCH_TOL)
+    tied = np.flatnonzero(energies_match(totals, totals[best]))
     best_pol, *ties = [PolicyAssignment.from_actions(row, na)
                        for row in policy_rows(n, na, np.r_[best, tied[tied != best]])]
     return best_pol, float(totals[best]), ties

@@ -2,5 +2,5 @@
 
 
 class InstanceTooLargeError(RuntimeError):
-    """Instance exceeds a size limit: exhaustive search, dense enumeration or the
-    walk frontier."""
+    """Instance exceeds a size limit: the policy grid, the exhaustive ground state,
+    dense enumeration, or the walk extension or frontier."""

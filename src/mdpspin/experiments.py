@@ -26,7 +26,7 @@ from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import InstanceTooLargeError
 from .mdp import HALLWAY_SLIP, Mdp, PolicyAssignment, build_hallway, terminal_states
-from .pseudoboolean import ENERGY_MATCH_TOL
+from .pseudoboolean import energies_match
 from .quadratize import (REDUCTION_PENALTY, QuboProblem, consistency_violations, project,
                          quadratize)
 from .resources import ResourceReport, count_resources
@@ -218,7 +218,7 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
         "sa": {"num_reads": config.num_reads, "num_sweeps": config.num_sweeps,
                "beta_start": schedule.beta_start, "beta_end": schedule.beta_end,
                "best_energy": best.energy,
-               "best_attains_ground": bool(abs(best.energy - ground) <= ENERGY_MATCH_TOL),
+               "best_attains_ground": bool(energies_match(best.energy, ground)),
                "best_feasible": best_policy.is_feasible(),
                "best_consistency_violations":
                    consistency_violations(best.assignment, qubo.registry),
@@ -284,9 +284,10 @@ def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
 
 
 def run_resources(config: ExperimentConfig) -> list[dict]:
-    """Counted |V| and |J| per instance, one CSV row each.
+    """Counted |V| and |J| per instance.
 
-    Cells with no qualifying K, or too large for the K search, are skipped.
+    Every cell comes back with its status, as in ``run_tts_sweep``; only the
+    ``ok`` cells get a ``report`` and a row of ``resources.csv``.
     """
     def step(mdp: Mdp) -> dict:
         inst = prepare(mdp, config)
@@ -297,23 +298,23 @@ def run_resources(config: ExperimentConfig) -> list[dict]:
                                           num_actions=mdp.num_actions),
                 "status": "ok"}
 
-    rows = [r for r in _cells(config, step) if r["status"] == "ok"]
+    out = _cells(config, step)
     _write_tables(config, "resources", {"resources.csv": (
         ["num_states", "gamma", *(f.name for f in dataclasses.fields(ResourceReport))],
-        [[r["num_states"], r["gamma"], *dataclasses.astuple(r["report"])] for r in rows])})
-    return rows
+        [[r["num_states"], r["gamma"], *dataclasses.astuple(r["report"])]
+         for r in out if r["status"] == "ok"])})
+    return out
 
 
 def run_oracle_compare(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
     """Pairwise interior-policy agreement across every solver family."""
     inst = _hallway(config, num_states, gamma)
     mdp = inst.mdp
+    minimizers, ground = inst.ground()
     _, greedy = value_iteration(mdp)
     vi = _interior(greedy)
     best_pol, _, _ = best_policy_exhaustive(mdp)
     exhaustive_dp = _interior(best_pol)
-
-    minimizers, ground = inst.ground()
     _, _, best = _anneal(inst, config)
 
     terminals = terminal_states(mdp)

@@ -28,6 +28,11 @@ ENERGY_MATCH_TOL = 1e-9  # energies this close are equal: ties, gaps and hits
 ENUMERATION_BLOCK = 128  # low-half assignments per block of dense enumeration
 
 
+def energies_match(a, b):
+    """Whether energies ``a`` and ``b`` (broadcast) are equal: |a - b| <= ENERGY_MATCH_TOL."""
+    return np.abs(np.subtract(a, b)) <= ENERGY_MATCH_TOL
+
+
 def normalize_monomial(variables: Iterable[int]) -> Monomial:
     """Sort and deduplicate variable ids (multilinear reduction)."""
     return tuple(sorted(set(int(v) for v in variables)))

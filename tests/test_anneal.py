@@ -68,6 +68,14 @@ class TestExhaustive:
         with pytest.raises(InstanceTooLargeError):
             exhaustive_ground_state(poly)
 
+    def test_minimizers_span_every_match_block(self):
+        # x0 = x1 = 0 on 18 variables: every fourth assignment, across all four 2^16 blocks
+        poly = PseudoBooleanPolynomial(18, {(0,): 1.0, (1,): 1.0})
+        minimizers, energy = exhaustive_ground_state(poly)
+        assert energy == 0.0
+        np.testing.assert_array_equal(np.array(minimizers) @ (1 << np.arange(18)),
+                                      np.arange(0, 1 << 18, 4))
+
     def test_minimizer_cap(self):
         # the zero polynomial on 17 variables: every one of 2^17 assignments is a minimizer
         with pytest.raises(InstanceTooLargeError, match="131072 degenerate minimizers"):

@@ -287,6 +287,27 @@ def dense_random_mdp(seed):
     return Mdp(P, R, float(rng.uniform(0.5, 0.95)))
 
 
+def test_extension_past_the_row_limit_is_refused_before_it_is_built(monkeypatch):
+    """A dense random 8x3 model extends 1,179,648 rows at K=5, which compiles,
+    and 6,280,128 at K=6, which is refused before ``_extend`` builds them."""
+    rng = np.random.default_rng(0)
+    P = rng.dirichlet(np.ones(8), size=(8, 3))
+    mdp = Mdp(P, rng.normal(size=P.shape), 0.9)
+    extend, rows = compiler._extend, []
+
+    def spy(pair, weight, mask, table):
+        rows.append(int(table[1][pair].sum()))
+        assert rows[-1] <= compiler.EXTENSION_LIMIT, f"extended {rows[-1]} rows"
+        return extend(pair, weight, mask, table)
+
+    monkeypatch.setattr(compiler, "_extend", spy)
+    compile_hamiltonian(mdp, CompilerConfig(5))
+    assert max(rows) == 1_179_648
+    with pytest.raises(InstanceTooLargeError, match="walk extension of 6280128 rows passes "
+                                                    "the limit of 2000000 at order 6"):
+        compile_hamiltonian(mdp, CompilerConfig(6))
+
+
 class TestMinimalTruncationOrder:
     def test_six_states_intermediate_discount(self):
         assert minimal_truncation_order(build_hallway(6, 0.8)) == 3
@@ -304,7 +325,13 @@ class TestMinimalTruncationOrder:
 
     def test_too_large_instance_rejected(self):
         with pytest.raises(InstanceTooLargeError):
-            minimal_truncation_order(build_hallway(13, 0.9))
+            minimal_truncation_order(build_hallway(17, 0.9))
+
+    @pytest.mark.parametrize("num_states, gamma, k", [(14, 0.6, 6), (14, 0.9, 7),
+                                                      (16, 0.9, 8)])
+    def test_past_twelve_states(self, num_states, gamma, k):
+        # the policy limit admits 2^16 policies: K ~ |S|/2 - 1 goes on past 12 states
+        assert minimal_truncation_order(build_hallway(num_states, gamma)) == k
 
     def test_random_mdp_past_the_walk_budget(self):
         # the search compiles nothing, so a deep order costs no walk enumeration

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mdpspin import dp
+from mdpspin import compiler, dp
+from mdpspin.compiler import minimal_truncation_order
 from mdpspin.dp import (ENUMERATION_LIMIT, QLearningConfig, best_policy_exhaustive,
                         policy_evaluation_exact, q_learning, value_iteration)
 from mdpspin.errors import InstanceTooLargeError
@@ -144,11 +145,11 @@ class TestExhaustiveSearch:
         assert [p.actions().tolist() for p in [best, *ties]] == rows.tolist()
 
     def test_too_large_raises(self):
-        P = np.zeros((25, 2, 25))
+        P = np.zeros((17, 2, 17))
         P[:, :, 0] = 1.0
         with pytest.raises(InstanceTooLargeError, match="enumeration limit"):
             best_policy_exhaustive(Mdp(P, np.zeros_like(P), 0.9))
-        assert ENUMERATION_LIMIT == 2 ** 24
+        assert ENUMERATION_LIMIT == 2 ** 16
 
     def test_single_action_past_the_grid_dimension_cap(self):
         # a deterministic 70-state cycle paying 1 per step: Q = 1 / (1 - 0.9) per state
@@ -219,3 +220,22 @@ class TestQLearning:
         mdp = build_hallway(4, 0.9)
         with pytest.raises(ValueError):
             q_learning(mdp, QLearningConfig(num_episodes=1), terminal=range(4))
+
+
+def test_policy_count_is_the_grid_size_up_to_the_limit():
+    assert dp.policy_count(build_hallway(16, 0.9)) == ENUMERATION_LIMIT
+    P = np.full((3, 4, 3), 1 / 3)
+    assert dp.policy_count(Mdp(P, np.zeros_like(P), 0.9)) == 64
+
+
+@pytest.mark.parametrize("search", [best_policy_exhaustive, minimal_truncation_order])
+def test_both_policy_grid_searches_refuse_before_building_an_array(monkeypatch, search):
+    def fail(*args, **kwargs):
+        raise AssertionError("built an array before the policy limit")
+
+    for module, name in [(dp, "policy_rows"), (compiler, "policy_rows"),
+                         (compiler, "value_iteration")]:
+        monkeypatch.setattr(module, name, fail)
+    with pytest.raises(InstanceTooLargeError, match="131072 deterministic policies exceed "
+                                                    "the enumeration limit of 65536"):
+        search(build_hallway(17, 0.9))

@@ -74,7 +74,7 @@ def test_run_k_heatmap_written_and_ordered(tmp_path):
 
 
 def test_run_k_heatmap_marks_oversized_cells():
-    rows = run_k_heatmap(fast_config(sizes=(13,), gammas=(0.9,)))
+    rows = run_k_heatmap(fast_config(sizes=(17,), gammas=(0.9,)))
     assert rows[0]["minimal_k"] is None
     assert rows[0]["status"].startswith("unavailable")
 
@@ -98,6 +98,14 @@ def test_run_resources_rows(tmp_path):
     assert all(r["report"].coefficient_count > 0 for r in rows)
     header = (tmp_path / "resources.csv").read_text().splitlines()[0]
     assert header.startswith("num_states,gamma,truncation")
+
+
+def test_resources_prints_a_cell_with_no_truncation(tmp_path, capsys):
+    # no K <= 2 recovers the optimal policy of hallway(6, 0.7)
+    assert main(["resources", "--sizes", "6", "--gammas", "0.7", "--k-max", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "|S|=6 gamma=0.7: no-truncation\n"
+    assert (tmp_path / "resources.csv").read_text().count("\n") == 1
 
 
 RUNNERS = {"solve": lambda config: run_solve(config, 4, 0.6),
@@ -446,18 +454,15 @@ class TestCli:
                                                 ("resources", "resources.csv")])
     def test_grid_survives_a_cell_too_large_for_the_k_search(self, tmp_path, capsys,
                                                              command, table):
-        # 13 states: 26 policy bits exceed the K search's limit of 24
-        args = [command, "--sizes", "4", "13", "--gammas", "0.6", "--out", str(tmp_path)]
+        # 17 states: 2^17 policies exceed the K search's limit of 2^16
+        args = [command, "--sizes", "4", "17", "--gammas", "0.6", "--out", str(tmp_path)]
         if command == "tts-sweep":
             args += ["--num-reads", "20", "--sweep-grid", "1"]
         assert main(args) == 0
         rows = (tmp_path / table).read_text().splitlines()[1:]
         assert rows and all(row.startswith("4,0.6,") for row in rows)
-        out = capsys.readouterr().out
-        if command == "tts-sweep":
-            assert "|S|=13 gamma=0.6: unavailable: 26 policy bits" in out
-        else:
-            assert "|S|=13" not in out
+        assert ("|S|=17 gamma=0.6: unavailable: 131072 deterministic policies exceed the "
+                "enumeration limit of 65536") in capsys.readouterr().out
 
     def test_grid_marks_a_cell_too_large_for_the_exhaustive_ground_state(self, tmp_path,
                                                                          capsys):
@@ -482,7 +487,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["solve", "oracle-compare"])
     def test_single_instance_too_large_for_the_k_search_exits_3(self, command, capsys):
-        assert main([command, "--num-states", "13", "--gamma", "0.6"]) == 3
+        assert main([command, "--num-states", "17", "--gamma", "0.6"]) == 3
+        assert "enumeration limit of 65536" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["solve", "oracle-compare", "k-heatmap",
                                          "tts-sweep", "resources"])

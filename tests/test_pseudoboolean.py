@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mdpspin.compiler import CompilerConfig, compile_hamiltonian
+from mdpspin import pseudoboolean
+from mdpspin.anneal import SaRead, exhaustive_ground_state, success_probability
+from mdpspin.compiler import CompilerConfig, compile_hamiltonian, minimal_truncation_order
+from mdpspin.dp import best_policy_exhaustive
+from mdpspin.experiments import ExperimentConfig, run_solve
 from mdpspin.mdp import build_hallway
 from mdpspin.pseudoboolean import (ENUMERATION_BLOCK, PseudoBooleanPolynomial, TermTable,
                                    all_assignment_energies, bit_rows, normalize_monomial)
@@ -268,3 +272,38 @@ def test_term_of_more_than_127_variables():
     assert poly.evaluate(ones) == 3.0
     ones[129] = 0
     assert poly.evaluate(ones) == 1.0
+
+
+def test_energies_match_within_the_tolerance():
+    matched = pseudoboolean.energies_match([0.0, 1e-9, 2e-9, -1e-9], 0.0)
+    assert matched.tolist() == [True, True, False, True]
+
+
+class TestOneEqualEnergyRule:
+    """``energies_match`` is the one rule for equal energies: widening its
+    tolerance makes every site treat every energy as equal."""
+
+    @pytest.fixture(autouse=True)
+    def every_energy_equal(self, monkeypatch):
+        monkeypatch.setattr(pseudoboolean, "ENERGY_MATCH_TOL", 1e6)
+
+    def test_ground_state_ties(self):
+        poly = PseudoBooleanPolynomial(3, {(0,): 1.0, (1, 2): -2.0})
+        minimizers, ground = exhaustive_ground_state(poly)
+        assert len(minimizers) == 8 and ground == -2.0
+
+    def test_annealer_hits(self):
+        reads = [SaRead(np.zeros(2, dtype=np.int8), e) for e in (0.0, 1.0, 5.0)]
+        assert success_probability(reads, 0.0) == (1.0, 0.0)
+
+    def test_k_search_runner_up_gap(self):
+        assert minimal_truncation_order(build_hallway(6, 0.9)) is None
+
+    def test_policy_ties(self):
+        _, _, ties = best_policy_exhaustive(build_hallway(4, 0.9))
+        assert len(ties) == 15
+
+    def test_solve_best_read_attains_ground(self):
+        # one read of one sweep ends at 3.34 against a ground of -4.02
+        record = run_solve(ExperimentConfig(truncation=2, num_reads=1, num_sweeps=1), 4, 0.9)
+        assert record["sa"]["best_attains_ground"] is True
