@@ -1,12 +1,13 @@
 """Ground-state solvers and time-to-solution estimation.
 
 Exhaustive search and the Metropolis annealer both read a polynomial of any
-degree through its ``TermTable``: the search scans every assignment as one
-product between two halves' term activities.  The annealer advances all
-reads in lockstep and splits each variable's field in two: the degree-1 and
-degree-2 terms give one product of a dense coupling matrix with the state,
-and only the terms of degree 3 or more keep a per-read count of their zero
-variables.  A sweep updates one dependency level of variables per numpy
+degree through its ``TermTable``: the search scans every assignment a block
+at a time, each block a product between two halves' term activities, and
+holds no 2^n energy vector.  The annealer advances all reads in lockstep
+and splits each variable's field in two: the degree-1 and degree-2 terms
+give one product of a dense coupling matrix with the state, and only the
+terms of degree 3 or more keep a per-read count of their zero variables.
+A sweep updates one dependency level of variables per numpy
 step.  The levels come from a plan built once per call: variables that share
 a term of any degree are neighbours, and a variable's level is one more than
 the highest level among its earlier-index neighbours.  A level's variables
@@ -37,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .pseudoboolean import (PseudoBooleanPolynomial, TermTable, all_assignment_energies,
+from .pseudoboolean import (PseudoBooleanPolynomial, TermTable, _energy_blocks, _energy_tables,
                            bit_rows, energies_match)
 
 DESIRED_PROBABILITY = 0.99  # the p_d of TTS99
@@ -211,20 +212,39 @@ def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
     return list(map(tuple.__new__, repeat(SaRead), zip(state, table.energies(state).tolist())))
 
 
+def check_exhaustive_size(num_variables: int) -> None:
+    """Refuse ``num_variables`` past ``EXHAUSTIVE_MAX_VARIABLES``, the limit of
+    ``exhaustive_ground_state``; runners call it before they spend on a
+    polynomial whose ground state they could not take."""
+    if num_variables > EXHAUSTIVE_MAX_VARIABLES:
+        raise InstanceTooLargeError(
+            f"{num_variables} variables exceed the exhaustive limit of {EXHAUSTIVE_MAX_VARIABLES}"
+        )
+
+
 def exhaustive_ground_state(poly: PseudoBooleanPolynomial
                             ) -> tuple[list[np.ndarray], float]:
     """All global minimizers (within ENERGY_MATCH_TOL of the minimum) by full
-    enumeration of the polynomial's ``num_variables`` variables."""
+    enumeration of the polynomial's ``num_variables`` variables.
+
+    The energies come a block at a time, into one reused block buffer.  Each
+    block keeps the assignments that match its own minimum; the kept ones are
+    then matched against the global minimum.  That loses no minimizer: no
+    block minimum is below the global one, and a rounded subtraction is
+    monotone, so an energy that matches the global minimum matches its
+    block's.
+    """
     n = poly.num_variables
-    if n > EXHAUSTIVE_MAX_VARIABLES:
-        raise InstanceTooLargeError(
-            f"{n} variables exceed the exhaustive limit of {EXHAUSTIVE_MAX_VARIABLES}"
-        )
-    energies = all_assignment_energies(poly, n)
+    check_exhaustive_size(n)
+    on, weights = _energy_tables(poly, n)
+    kept_idx, kept_energies = [], []
+    for first, energies in _energy_blocks(on, weights):
+        idx = np.flatnonzero(energies_match(energies, energies.min()))
+        kept_idx.append(first + idx)
+        kept_energies.append(energies[idx])
+    energies = np.concatenate(kept_energies)
     best = float(energies.min())
-    # matched 2^16 assignments at a time, so the match's gap array stays small
-    idx = np.flatnonzero([energies_match(row, best)
-                          for row in energies.reshape(-1, min(energies.size, 1 << 16))])
+    idx = np.concatenate(kept_idx)[energies_match(energies, best)]
     if idx.size > EXHAUSTIVE_MAX_MINIMIZERS:
         raise InstanceTooLargeError(
             f"{idx.size} degenerate minimizers; refusing to materialize them"

@@ -16,7 +16,7 @@ import math
 import sys
 import typing
 
-from .anneal import success_probability
+from .anneal import check_exhaustive_size, success_probability
 from .compiler import CompilerConfig, compile_hamiltonian
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import InstanceTooLargeError
@@ -125,7 +125,9 @@ def _cmd_anneal(args) -> int:
         missing = "--beta-start" if args.beta_start is None else "--beta-end"
         raise ValueError(f"{missing} is missing: give both beta flags or neither")
     config = _experiment_config(args)
-    inst = prepare(_load_instance(args), config)
+    mdp = _load_instance(args)
+    check_exhaustive_size(mdp.num_pairs)
+    inst = prepare(mdp, config)
     _, ground = inst.ground()
     betas = None if args.beta_start is None else (args.beta_start, args.beta_end)
     schedule, reads, _ = _anneal(inst, config, betas)

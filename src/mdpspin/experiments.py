@@ -18,9 +18,9 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
-from .anneal import (DESIRED_PROBABILITY, AnnealSchedule, SaRead, default_beta_range,
-                     exhaustive_ground_state, simulated_anneal, success_probability,
-                     tts_std_error, tts_sweep)
+from .anneal import (DESIRED_PROBABILITY, AnnealSchedule, SaRead, check_exhaustive_size,
+                     default_beta_range, exhaustive_ground_state, simulated_anneal,
+                     success_probability, tts_std_error, tts_sweep)
 from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
                        minimal_truncation_order)
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
@@ -111,8 +111,12 @@ def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance | None:
 
 def _hallway(config: ExperimentConfig, num_states: int, gamma: float) -> Instance:
     """The prepared hallway of a single-instance runner; a ValueError when no
-    K <= ``config.k_max`` recovers its optimal policy."""
-    inst = prepare(build_hallway(num_states, gamma, config.slip), config)
+    K <= ``config.k_max`` recovers its optimal policy.  A hallway whose
+    |S||A| variables are past the exhaustive ground state's limit is refused
+    before ``prepare`` spends anything on it."""
+    mdp = build_hallway(num_states, gamma, config.slip)
+    check_exhaustive_size(mdp.num_pairs)
+    inst = prepare(mdp, config)
     if inst is None:
         raise ValueError(f"no truncation order <= {config.k_max} recovers the "
                          f"optimal policy for |S|={num_states}, gamma={gamma}")
@@ -252,9 +256,11 @@ def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
 
     A cell with no qualifying K is marked ``no-truncation``, one too large
     for the K search or the exhaustive ground state ``unavailable: <reason>``;
-    neither gets TTS rows.
+    neither gets TTS rows.  The ground state's limit is checked on |S||A|
+    before ``prepare`` runs.
     """
     def step(mdp: Mdp) -> dict:
+        check_exhaustive_size(mdp.num_pairs)
         inst = prepare(mdp, config)
         if inst is None:
             return {"status": "no-truncation"}

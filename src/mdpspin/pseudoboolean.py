@@ -8,14 +8,17 @@ floating-point dust.  ``TermTable`` is the array form that the evaluator,
 dense enumeration and the annealer share; ``bit_rows`` is the one place that
 knows the enumeration order, in which assignment i has x_v = bit v of i.
 Dense enumeration splits the variables into a low and a high half and sums
-each distinct high-half monomial once, so its one float64 product runs over
-those distinct monomials rather than over all terms; it folds the low half a
-fixed block of assignments at a time.
+each distinct high-half monomial once, so its float64 product runs over
+those distinct monomials rather than over all terms.  It folds the low half
+into a weight table a fixed block of assignments at a time, and takes the
+product a fixed block of high-half assignments at a time, so that no
+temporary of the 2^n energies' size is held beside them, and
+``exhaustive_ground_state`` holds no 2^n vector at all.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -25,7 +28,9 @@ Monomial = tuple[int, ...]
 
 DROP_TOL = 1e-12
 ENERGY_MATCH_TOL = 1e-9  # energies this close are equal: ties, gaps and hits
-ENUMERATION_BLOCK = 128  # low-half assignments per block of dense enumeration
+ENUMERATION_BLOCK = 128  # low-half assignments per block of the weight table
+ENERGY_BLOCK = 128  # high-half assignments per block of the energy product
+TERM_TABLE_ROWS = 512  # rows per block of ``TermTable.energies``
 
 
 def energies_match(a, b):
@@ -172,8 +177,19 @@ class TermTable:
         return counts.astype(self.sizes.dtype)
 
     def energies(self, assignments) -> np.ndarray:
-        """Energy of each 0/1 row of ``assignments`` (a single row gives a scalar)."""
-        return (self.set_counts(assignments) == self.sizes) @ self.coeffs
+        """Energy of each 0/1 row of ``assignments`` (a single row gives a scalar).
+
+        The rows go ``TERM_TABLE_ROWS`` at a time, so the product's float64
+        copy of the (rows, terms) on-term table stays one block's size.
+        """
+        x = np.asarray(assignments)
+        if x.ndim == 1:
+            return (self.set_counts(x) == self.sizes) @ self.coeffs
+        out = np.empty(x.shape[0])
+        for first in range(0, x.shape[0], TERM_TABLE_ROWS):
+            rows = slice(first, first + TERM_TABLE_ROWS)
+            np.matmul(self.set_counts(x[rows]) == self.sizes, self.coeffs, out=out[rows])
+        return out
 
 
 def bit_rows(indices, num_variables: int) -> np.ndarray:
@@ -192,39 +208,79 @@ def _half_on(half: np.ndarray) -> np.ndarray:
     return counts == half.sum(axis=0)
 
 
-def all_assignment_energies(poly: PseudoBooleanPolynomial,
-                            num_variables: int) -> np.ndarray:
-    """Energies of all 2^n assignments, assignment i having x_v = bit v of i.
+def _energy_tables(poly: PseudoBooleanPolynomial,
+                   num_variables: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two tables of dense enumeration over ``num_variables`` variables:
+    ``on``, the bool (2^(n - n // 2), groups) ``_half_on`` table of the high
+    half, and ``weights``, the float64 (2^(n // 2), groups) weight table.
 
     The variables split into a low half of n // 2 and a high half of the rest.
     Terms are grouped by their high-half variable set, and each group's
     coefficients are folded into ``weights[l, g]``, the sum of c_t over the
     group's terms t whose low-half variables are all set in low assignment l.
     The energy of (high h, low l) is then the sum of ``weights[l, g]`` over the
-    groups g whose high-half variables are all set in h: one float64 product
-    whose inner dimension is the number of distinct high-half monomials.
-    ``weights`` is built ``ENUMERATION_BLOCK`` low assignments at a time, each
-    block with its own float32 counts, product and ``np.add.reduceat``, so no
-    (low assignments, terms) temporary is held whole.  The counts are exact
-    integers and ``reduceat`` sums each row alone, so every weight is the float
-    that one block over the whole low half gives.
-    Intended for n up to ~26 (the full float64 energy vector is returned).
+    groups g set in ``on[h]``: a float64 product whose inner dimension is the
+    number of distinct high-half monomials.  ``weights`` is built
+    ``ENUMERATION_BLOCK`` low assignments at a time, each block with its own
+    float32 counts, product and ``np.add.reduceat``, so no (low assignments,
+    terms) temporary is held whole.  The counts are exact integers and
+    ``reduceat`` sums each row alone, so every weight is the float that one
+    block over the whole low half gives.
     """
     n = variable_count(poly, num_variables)
     if n > 26:
         raise InstanceTooLargeError(f"{n} variables is too many for dense enumeration")
     table = TermTable(poly, n)
     lo, hi = np.split(table.incidence, [n // 2])
-    groups, group_of = np.unique(hi, axis=1, return_inverse=True)
-    group_of = group_of.reshape(-1)  # numpy 2.0.0 shapes it (1, terms)
+    # a high-half set's key has its first variable as the top bit, so the keys
+    # sort the groups in the lexicographic order of their incidence columns
+    place = 1 << np.arange(hi.shape[0])[::-1]
+    keys, group_of = np.unique(place @ hi, return_inverse=True)
     order = np.argsort(group_of, kind="stable")
-    starts = np.searchsorted(group_of[order], np.arange(groups.shape[1]))
+    starts = np.searchsorted(group_of[order], np.arange(keys.size))
     lo_bits = bit_rows(np.arange(1 << lo.shape[0]), lo.shape[0]).astype(np.float32)
     lo_terms = lo[:, order].astype(np.float32)
     lo_sizes, coeffs = lo_terms.sum(axis=0), table.coeffs[order]
-    weights = np.empty((lo_bits.shape[0], groups.shape[1]))
+    weights = np.empty((lo_bits.shape[0], keys.size))
     for block in range(0, lo_bits.shape[0], ENUMERATION_BLOCK):
         rows = slice(block, block + ENUMERATION_BLOCK)
         on = lo_bits[rows] @ lo_terms == lo_sizes
         np.add.reduceat(on * coeffs, starts, axis=1, out=weights[rows])
-    return (_half_on(groups) @ weights.T).reshape(-1)
+    return _half_on(keys & place[:, None] != 0), weights
+
+
+def _energy_blocks(on: np.ndarray, weights: np.ndarray,
+                   out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(first, energies)`` for each block of ``ENERGY_BLOCK`` high-half
+    assignments: the index of the block's first assignment and the energies of
+    its assignments in index order, the float64 product of the block's rows of
+    ``on`` with ``weights.T``.
+
+    The product is written into whole C-contiguous rows of ``out``, a
+    (2^(n - n // 2), 2^(n // 2)) float64 array that then holds all 2^n
+    energies; without ``out``, into one block-sized buffer that every block
+    reuses.  The block's float64 copy of its ``on`` rows is the only other
+    temporary.
+    """
+    if out is None:
+        out = np.empty((min(ENERGY_BLOCK, on.shape[0]), weights.shape[0]))
+    for first in range(0, on.shape[0], ENERGY_BLOCK):
+        block = on[first:first + ENERGY_BLOCK]
+        at = first % out.shape[0]  # 0 in a one-block buffer
+        rows = np.matmul(block, weights.T, out=out[at:at + block.shape[0]])
+        yield first * weights.shape[0], rows.reshape(-1)
+
+
+def all_assignment_energies(poly: PseudoBooleanPolynomial,
+                            num_variables: int) -> np.ndarray:
+    """Energies of all 2^n assignments, assignment i having x_v = bit v of i.
+
+    The tables of ``_energy_tables`` are built first; then the 2^n output is
+    allocated and ``_energy_blocks`` writes each block's product into it.
+    Intended for n up to ~26 (the full float64 energy vector is returned).
+    """
+    on, weights = _energy_tables(poly, num_variables)
+    energies = np.empty((on.shape[0], weights.shape[0]))
+    for _ in _energy_blocks(on, weights, energies):
+        pass
+    return energies.reshape(-1)

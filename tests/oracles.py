@@ -5,8 +5,10 @@ way: a chain's walk weight and the dict-frontier walk sum (the compiler's
 walk sum), the state-major Bellman rollout (the compiler's pair-major
 rollout), the Bellman residual of a Q table (value iteration), the
 consistent ancilla values, the QUBO minimum over ancillas and the
-dict-rewriting reduction (order reduction), the one-block dense enumeration
-(blocked dense enumeration) and the inverse of ``flat_index``.
+dict-rewriting reduction (order reduction), the whole-vector dense
+enumeration and ground state (blocked dense enumeration and the blocked
+ground-state match), the one-product term-table energies (row-blocked
+``TermTable.energies``) and the inverse of ``flat_index``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from mdpspin.anneal import EXHAUSTIVE_MAX_MINIMIZERS, check_exhaustive_size
+from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp
 from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, TermTable, _half_on,
-                                   all_assignment_energies, variable_count)
+                                   all_assignment_energies, bit_rows, energies_match,
+                                   variable_count)
 from mdpspin.quadratize import (REDUCTION_PENALTY, AncillaRegistry, QuboProblem,
                                 rosenberg_penalty)
 
@@ -80,11 +85,17 @@ def minimized_over_ancillas(qubo: QuboProblem) -> np.ndarray:
 
 def one_block_assignment_energies(poly: PseudoBooleanPolynomial,
                                   num_variables: int) -> np.ndarray:
-    """``all_assignment_energies`` with the whole low half as one block.
+    """``all_assignment_energies`` with each half as one block: the whole-vector
+    enumeration.
 
     It holds the (2^(n // 2), terms) float32 counts and float64 products of
     every low-half assignment at once, where the library builds its weight
-    table a fixed block of low-half assignments at a time.
+    table a fixed block of low-half assignments at a time.  It groups the
+    terms by ``np.unique`` over the high-half incidence columns, where the
+    library sorts integer keys.  And it takes the energies as one product
+    of the whole (2^(n - n // 2), groups) high-half table, cast to float64,
+    with the weight table, where the library takes that product a fixed
+    block of high-half assignments at a time into the output's rows.
     """
     table = TermTable(poly, variable_count(poly, num_variables))
     lo, hi = np.split(table.incidence, [table.incidence.shape[0] // 2])
@@ -94,6 +105,35 @@ def one_block_assignment_energies(poly: PseudoBooleanPolynomial,
     starts = np.searchsorted(group_of[order], np.arange(groups.shape[1]))
     weights = np.add.reduceat(_half_on(lo[:, order]) * table.coeffs[order], starts, axis=1)
     return (_half_on(groups) @ weights.T).reshape(-1)
+
+
+def whole_vector_ground_state(poly: PseudoBooleanPolynomial
+                              ) -> tuple[list[np.ndarray], float]:
+    """``exhaustive_ground_state`` over the whole 2^n energy vector.
+
+    It takes the minimum of all the energies of
+    ``one_block_assignment_energies`` and matches every energy against it
+    2^16 at a time, where the library keeps each block's matches of its own
+    minimum and matches only those against the global one.
+    """
+    n = poly.num_variables
+    check_exhaustive_size(n)
+    energies = one_block_assignment_energies(poly, n)
+    best = float(energies.min())
+    idx = np.flatnonzero([energies_match(row, best)
+                          for row in energies.reshape(-1, min(energies.size, 1 << 16))])
+    if idx.size > EXHAUSTIVE_MAX_MINIMIZERS:
+        raise InstanceTooLargeError(
+            f"{idx.size} degenerate minimizers; refusing to materialize them"
+        )
+    return list(bit_rows(idx, n)), best
+
+
+def one_product_energies(table: TermTable, assignments) -> np.ndarray:
+    """``TermTable.energies`` of every row at once: one float64 product over
+    the whole (rows, terms) on-term table, where the library takes a fixed
+    block of rows at a time."""
+    return (table.set_counts(assignments) == table.sizes) @ table.coeffs
 
 
 def unflatten_index(flat_id: int, num_actions: int) -> tuple[int, int]:

@@ -16,10 +16,27 @@ from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, policy_rows
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial, TermTable
 from mdpspin.quadratize import quadratize
+from oracles import whole_vector_ground_state
 
 
 def single_negative_variable():
     return PseudoBooleanPolynomial(1).add_term([0], -1.0)
+
+
+def integer_tie_polynomial(n=11, seed=5):
+    """Swapping the variables of a pair (2g, 2g + 1) leaves it unchanged, so its
+    minima tie exactly; with integer coefficients every sum is exact."""
+    rng = np.random.default_rng(seed)
+    poly = PseudoBooleanPolynomial(n)
+    for a in range(0, 8, 2):
+        b = a + 1
+        poly.add_term([a, b], 4).add_term([a], -2).add_term([b], -2).add_term([], 2)
+        for k in rng.choice(np.arange(8, n), size=2, replace=False):
+            c = int(rng.integers(-2, 3))
+            poly.add_term([a, k], c).add_term([b, k], c).add_term([a, b, k], c)
+    for mono in ([8], [9, 10], [8, 9, 10], [8, 10]):
+        poly.add_term(mono, int(rng.integers(-3, 4)))
+    return poly
 
 
 class TestExhaustive:
@@ -43,19 +60,8 @@ class TestExhaustive:
         assert found == expected
 
     def test_integer_ties_come_back_in_index_order(self):
-        # swapping the variables of a pair (2g, 2g + 1) leaves the polynomial unchanged,
-        # so its minima tie exactly; with integer coefficients every sum is exact
-        rng = np.random.default_rng(5)
         n = 11
-        poly = PseudoBooleanPolynomial(n)
-        for a in range(0, 8, 2):
-            b = a + 1
-            poly.add_term([a, b], 4).add_term([a], -2).add_term([b], -2).add_term([], 2)
-            for k in rng.choice(np.arange(8, 11), size=2, replace=False):
-                c = int(rng.integers(-2, 3))
-                poly.add_term([a, k], c).add_term([b, k], c).add_term([a, b, k], c)
-        for mono in ([8], [9, 10], [8, 9, 10], [8, 10]):
-            poly.add_term(mono, int(rng.integers(-3, 4)))
+        poly = integer_tie_polynomial(n)
         brute = [sum(c for mono, c in poly.terms.items() if all(i >> v & 1 for v in mono))
                  for i in range(1 << n)]
         ties = [i for i, e in enumerate(brute) if e == min(brute)]
@@ -69,7 +75,8 @@ class TestExhaustive:
             exhaustive_ground_state(poly)
 
     def test_minimizers_span_every_match_block(self):
-        # x0 = x1 = 0 on 18 variables: every fourth assignment, across all four 2^16 blocks
+        # x0 = x1 = 0 on 18 variables: every fourth assignment, across all four
+        # blocks of 128 high-half rows
         poly = PseudoBooleanPolynomial(18, {(0,): 1.0, (1,): 1.0})
         minimizers, energy = exhaustive_ground_state(poly)
         assert energy == 0.0
@@ -80,6 +87,55 @@ class TestExhaustive:
         # the zero polynomial on 17 variables: every one of 2^17 assignments is a minimizer
         with pytest.raises(InstanceTooLargeError, match="131072 degenerate minimizers"):
             exhaustive_ground_state(PseudoBooleanPolynomial(17))
+
+
+def ground_state_bytes(poly):
+    """The minimizers and the ground energy of ``exhaustive_ground_state`` and of
+    the whole-vector oracle, each as bytes."""
+    return [(np.array(minimizers).tobytes(), np.float64(ground).tobytes())
+            for minimizers, ground in (exhaustive_ground_state(poly),
+                                       whole_vector_ground_state(poly))]
+
+
+class TestBlockedGroundStateMatch:
+    """The blocked match gives the whole-vector oracle's minimizers and ground
+    energy to the bit."""
+
+    @pytest.mark.parametrize("n, seed", [(11, 5), (15, 1), (19, 2)])
+    def test_integer_ties(self, n, seed):
+        poly = integer_tie_polynomial(n, seed)
+        new, old = ground_state_bytes(poly)
+        assert new == old and len(exhaustive_ground_state(poly)[0]) > 1
+
+    @pytest.mark.parametrize("size, gamma, order", [(10, 0.9, 5), (6, 0.99, 3), (8, 0.9, 4),
+                                                    (12, 0.9, 6)])
+    def test_compiled_hallways(self, size, gamma, order):
+        ham = compile_hamiltonian(build_hallway(size, gamma), CompilerConfig(order))
+        new, old = ground_state_bytes(ham.polynomial)
+        assert new == old
+
+    @pytest.mark.parametrize("size, gamma, order", [(4, 0.9, 3), (5, 0.9, 3), (4, 0.9, 4)])
+    def test_hallway_qubos(self, size, gamma, order):
+        qubo = quadratize(compile_hamiltonian(build_hallway(size, gamma),
+                                              CompilerConfig(order)).polynomial)
+        new, old = ground_state_bytes(qubo.polynomial)
+        assert new == old
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 14, 17, 20])
+    def test_random_polynomials(self, n):
+        rng = np.random.default_rng(n)
+        poly = PseudoBooleanPolynomial(n)
+        for _ in range(50):
+            poly.add_term(rng.integers(0, n, size=rng.integers(0, 5)),
+                          float(rng.integers(-3, 4)) / 4)
+        new, old = ground_state_bytes(poly)
+        assert new == old
+
+    def test_the_same_minimizer_refusal(self):
+        for solve in (exhaustive_ground_state, whole_vector_ground_state):
+            with pytest.raises(InstanceTooLargeError,
+                               match="^131072 degenerate minimizers; refusing to"):
+                solve(PseudoBooleanPolynomial(17, {(): 1.5}))
 
 
 class TestSimulatedAnneal:

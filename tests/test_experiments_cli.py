@@ -450,19 +450,21 @@ class TestCli:
         assert main(["solve", "--num-states", "13", "--gamma", "0.6", "--truncation", "1"]) == 3
         assert "exhaustive limit of 24" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, table", [("tts-sweep", "tts_sweep.csv"),
-                                                ("resources", "resources.csv")])
+    @pytest.mark.parametrize("command, table, reason", [
+        ("tts-sweep", "tts_sweep.csv", "34 variables exceed the exhaustive limit of 24"),
+        ("resources", "resources.csv",
+         "131072 deterministic policies exceed the enumeration limit of 65536")])
     def test_grid_survives_a_cell_too_large_for_the_k_search(self, tmp_path, capsys,
-                                                             command, table):
-        # 17 states: 2^17 policies exceed the K search's limit of 2^16
+                                                             command, table, reason):
+        # 17 states: 2^17 policies exceed the K search's limit of 2^16; tts-sweep
+        # takes the ground state of the 34 variables, so it reports that limit first
         args = [command, "--sizes", "4", "17", "--gammas", "0.6", "--out", str(tmp_path)]
         if command == "tts-sweep":
             args += ["--num-reads", "20", "--sweep-grid", "1"]
         assert main(args) == 0
         rows = (tmp_path / table).read_text().splitlines()[1:]
         assert rows and all(row.startswith("4,0.6,") for row in rows)
-        assert ("|S|=17 gamma=0.6: unavailable: 131072 deterministic policies exceed the "
-                "enumeration limit of 65536") in capsys.readouterr().out
+        assert f"|S|=17 gamma=0.6: unavailable: {reason}" in capsys.readouterr().out
 
     def test_grid_marks_a_cell_too_large_for_the_exhaustive_ground_state(self, tmp_path,
                                                                          capsys):
@@ -486,9 +488,34 @@ class TestCli:
         assert "exhaustive limit of 24" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["solve", "oracle-compare"])
-    def test_single_instance_too_large_for_the_k_search_exits_3(self, command, capsys):
+    def test_single_instance_past_both_limits_reports_the_exhaustive_one(self, command,
+                                                                        capsys):
+        # 17 states: 2^17 policies pass the K search's limit, and 34 variables the
+        # ground state's, which is checked first
         assert main([command, "--num-states", "17", "--gamma", "0.6"]) == 3
-        assert "enumeration limit of 65536" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: 34 variables exceed the exhaustive limit of 24\n"
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--num-states", "16", "--gamma", "0.9"],
+        ["oracle-compare", "--num-states", "16", "--gamma", "0.9"],
+        ["tts-sweep", "--sizes", "16", "--gammas", "0.9"],
+        ["anneal", "--hallway", "16", "--gamma", "0.9", "--truncation", "8"],
+    ], ids=["solve", "oracle-compare", "tts-sweep", "anneal"])
+    def test_runners_refuse_past_the_exhaustive_limit_before_they_spend(self, monkeypatch,
+                                                                       capsys, command):
+        # 32 variables: neither the K search nor the compile may run
+        def fail(*args, **kwargs):
+            raise AssertionError("spent on an instance past the exhaustive limit")
+
+        monkeypatch.setattr(experiments, "minimal_truncation_order", fail)
+        monkeypatch.setattr(experiments, "compile_hamiltonian", fail)
+        code = main(command)
+        out, err = capsys.readouterr()
+        message = "32 variables exceed the exhaustive limit of 24"
+        if command[0] == "tts-sweep":
+            assert code == 0 and out == f"|S|=16 gamma=0.9: unavailable: {message}\n"
+        else:
+            assert code == 3 and err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["solve", "oracle-compare", "k-heatmap",
                                          "tts-sweep", "resources"])

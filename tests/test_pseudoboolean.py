@@ -14,9 +14,11 @@ from mdpspin.compiler import CompilerConfig, compile_hamiltonian, minimal_trunca
 from mdpspin.dp import best_policy_exhaustive
 from mdpspin.experiments import ExperimentConfig, run_solve
 from mdpspin.mdp import build_hallway
-from mdpspin.pseudoboolean import (ENUMERATION_BLOCK, PseudoBooleanPolynomial, TermTable,
-                                   all_assignment_energies, bit_rows, normalize_monomial)
-from oracles import one_block_assignment_energies
+from mdpspin.pseudoboolean import (ENUMERATION_BLOCK, TERM_TABLE_ROWS, PseudoBooleanPolynomial,
+                                   TermTable, all_assignment_energies, bit_rows,
+                                   normalize_monomial)
+from mdpspin.quadratize import quadratize
+from oracles import one_block_assignment_energies, one_product_energies
 
 
 @st.composite
@@ -254,16 +256,90 @@ def test_blocked_enumeration_matches_one_block_on_random_polynomials(span, extra
             == one_block_assignment_energies(poly, n).tobytes())
 
 
-def test_all_assignment_energies_peak_memory():
-    # 20 variables and 648 terms; two (16384, terms) float64 halves would peak near 91 MB
+def random_polynomial(n, rng, num_terms=60, variables=None):
+    """``num_terms`` random terms of degree 0-5 over ``variables`` (all n by default)."""
+    variables = np.arange(n) if variables is None else np.asarray(variables)
+    poly = PseudoBooleanPolynomial(n)
+    for _ in range(num_terms):
+        size = min(int(rng.integers(0, 6)), variables.size)
+        poly.add_term(rng.choice(variables, size=size, replace=False), rng.normal())
+    return poly
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_blocked_energy_product_matches_the_whole_vector(n):
+    # up to 2^11 high-half rows: one partial block, one block and up to 16 blocks
+    poly = random_polynomial(n, np.random.default_rng(n))
+    assert (all_assignment_energies(poly, n).tobytes()
+            == one_block_assignment_energies(poly, n).tobytes())
+
+
+@pytest.mark.parametrize("n", [9, 16, 19])
+@pytest.mark.parametrize("half", ["low", "high"])
+def test_blocked_energy_product_matches_the_whole_vector_within_one_half(n, half):
+    # every term inside one half: one high-half group, or one group per term
+    variables = np.arange(n // 2) if half == "low" else np.arange(n // 2, n)
+    poly = random_polynomial(n, np.random.default_rng(n), 40, variables)
+    assert (all_assignment_energies(poly, n).tobytes()
+            == one_block_assignment_energies(poly, n).tobytes())
+
+
+@pytest.mark.parametrize("size, gamma, order", [(4, 0.8, 2), (5, 0.9, 2), (4, 0.9, 3),
+                                                (5, 0.9, 3), (4, 0.9, 4)])
+def test_blocked_energy_product_matches_the_whole_vector_on_hallway_qubos(size, gamma, order):
+    # QUBOs of 8, 10, 15, 20 and 21 variables
+    qubo = quadratize(compile_hamiltonian(build_hallway(size, gamma),
+                                          CompilerConfig(order)).polynomial)
+    n = qubo.num_variables
+    assert (all_assignment_energies(qubo.polynomial, n).tobytes()
+            == one_block_assignment_energies(qubo.polynomial, n).tobytes())
+
+
+@pytest.mark.parametrize("rows", [1, TERM_TABLE_ROWS - 1, TERM_TABLE_ROWS, TERM_TABLE_ROWS + 1,
+                                  1023, 1024, 1025, 2049])
+def test_row_blocked_term_table_energies_match_one_product(rows):
     ham = compile_hamiltonian(build_hallway(10, 0.9), CompilerConfig(5))
+    table = TermTable(ham.polynomial, ham.num_variables)
+    x = np.random.default_rng(rows).integers(0, 2, size=(rows, ham.num_variables),
+                                             dtype=np.int8)
+    assert table.energies(x).tobytes() == one_product_energies(table, x).tobytes()
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``tracemalloc`` traces while ``call()`` runs."""
     tracemalloc.start()
     try:
-        all_assignment_energies(ham.polynomial, ham.num_variables)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+
+
+MIB = 1 << 20
+
+
+@pytest.fixture(scope="module")
+def hallway_20():
+    """``hallway(10, 0.9)`` at K=5: 20 variables and 648 terms."""
+    return compile_hamiltonian(build_hallway(10, 0.9), CompilerConfig(5))
+
+
+def test_all_assignment_energies_peak_memory(hallway_20):
+    # the 2^20 float64 energies are 8 MiB; the tables and one block add the rest
+    peak = traced_peak(lambda: all_assignment_energies(hallway_20.polynomial, 20))
+    assert peak <= 8 * MIB + 2 * MIB
+
+
+def test_exhaustive_ground_state_holds_less_than_the_energy_vector(hallway_20):
+    peak = traced_peak(lambda: exhaustive_ground_state(hallway_20.polynomial))
+    assert peak < 8 * MIB
+
+
+def test_term_table_energies_peak_memory(hallway_20):
+    # 2,000 reads: one product's float64 copy of the on-term table is 9.9 MiB
+    table = TermTable(hallway_20.polynomial, 20)
+    x = np.random.default_rng(0).integers(0, 2, size=(2000, 20), dtype=np.int8)
+    assert traced_peak(lambda: table.energies(x)) < 11.14 * MIB / 2
 
 
 def test_term_of_more_than_127_variables():
