@@ -229,26 +229,27 @@ def exhaustive_ground_state(poly: PseudoBooleanPolynomial
 
     The energies come a block at a time, into one reused block buffer.  Each
     block keeps the assignments that match its own minimum; the kept ones are
-    then matched against the global minimum.  That loses no minimizer: no
-    block minimum is below the global one, and a rounded subtraction is
-    monotone, so an energy that matches the global minimum matches its
-    block's.
+    then matched against the global minimum, and counted against
+    ``EXHAUSTIVE_MAX_MINIMIZERS`` before any of them is gathered.  That loses
+    no minimizer: no block minimum is below the global one, and a rounded
+    subtraction is monotone, so an energy that matches the global minimum
+    matches its block's.
     """
     n = poly.num_variables
     check_exhaustive_size(n)
     on, weights = _energy_tables(poly, n)
-    kept_idx, kept_energies = [], []
+    kept = []  # each block's (indices, energies) that match the block's minimum
     for first, energies in _energy_blocks(on, weights):
         idx = np.flatnonzero(energies_match(energies, energies.min()))
-        kept_idx.append(first + idx)
-        kept_energies.append(energies[idx])
-    energies = np.concatenate(kept_energies)
-    best = float(energies.min())
-    idx = np.concatenate(kept_idx)[energies_match(energies, best)]
-    if idx.size > EXHAUSTIVE_MAX_MINIMIZERS:
+        kept.append((first + idx, energies[idx]))
+    best = float(min(energies.min() for _, energies in kept))
+    matched = [energies_match(energies, best) for _, energies in kept]
+    count = sum(map(np.count_nonzero, matched))
+    if count > EXHAUSTIVE_MAX_MINIMIZERS:
         raise InstanceTooLargeError(
-            f"{idx.size} degenerate minimizers; refusing to materialize them"
+            f"{count} degenerate minimizers; refusing to materialize them"
         )
+    idx = np.concatenate([kept_idx[m] for (kept_idx, _), m in zip(kept, matched)])
     return list(bit_rows(idx, n)), best
 
 

@@ -234,11 +234,18 @@ def test_all_assignment_energies_groups_terms_by_high_half(n):
     assert energies.tobytes() == all_assignment_energies(poly, n).tobytes()
 
 
-@pytest.mark.parametrize("size, gamma, order", [(10, 0.9, 5), (6, 0.99, 3)])
-def test_blocked_enumeration_matches_one_block_on_hallways(size, gamma, order):
-    ham = compile_hamiltonian(build_hallway(size, gamma), CompilerConfig(order))
-    assert (all_assignment_energies(ham.polynomial, ham.num_variables).tobytes()
-            == one_block_assignment_energies(ham.polynomial, ham.num_variables).tobytes())
+@pytest.mark.parametrize("size, gamma, order, reduced", [
+    (10, 0.9, 5, False), (6, 0.99, 3, False),
+    # QUBOs of 8, 10, 15, 20 and 21 variables
+    (4, 0.8, 2, True), (5, 0.9, 2, True), (4, 0.9, 3, True), (5, 0.9, 3, True),
+    (4, 0.9, 4, True)])
+def test_blocked_enumeration_matches_one_block_on_hallways(size, gamma, order, reduced):
+    poly = compile_hamiltonian(build_hallway(size, gamma), CompilerConfig(order)).polynomial
+    if reduced:
+        poly = quadratize(poly).polynomial
+    n = poly.num_variables
+    assert (all_assignment_energies(poly, n).tobytes()
+            == one_block_assignment_energies(poly, n).tobytes())
 
 
 @pytest.mark.parametrize("span, extra, blocks", [(11, 1, 0.5), (13, 1, 1), (15, 3, 4),
@@ -284,24 +291,17 @@ def test_blocked_energy_product_matches_the_whole_vector_within_one_half(n, half
             == one_block_assignment_energies(poly, n).tobytes())
 
 
-@pytest.mark.parametrize("size, gamma, order", [(4, 0.8, 2), (5, 0.9, 2), (4, 0.9, 3),
-                                                (5, 0.9, 3), (4, 0.9, 4)])
-def test_blocked_energy_product_matches_the_whole_vector_on_hallway_qubos(size, gamma, order):
-    # QUBOs of 8, 10, 15, 20 and 21 variables
-    qubo = quadratize(compile_hamiltonian(build_hallway(size, gamma),
-                                          CompilerConfig(order)).polynomial)
-    n = qubo.num_variables
-    assert (all_assignment_energies(qubo.polynomial, n).tobytes()
-            == one_block_assignment_energies(qubo.polynomial, n).tobytes())
+@pytest.fixture(scope="module")
+def hallway_20():
+    """``hallway(10, 0.9)`` at K=5: 20 variables and 648 terms."""
+    return compile_hamiltonian(build_hallway(10, 0.9), CompilerConfig(5))
 
 
 @pytest.mark.parametrize("rows", [1, TERM_TABLE_ROWS - 1, TERM_TABLE_ROWS, TERM_TABLE_ROWS + 1,
                                   1023, 1024, 1025, 2049])
-def test_row_blocked_term_table_energies_match_one_product(rows):
-    ham = compile_hamiltonian(build_hallway(10, 0.9), CompilerConfig(5))
-    table = TermTable(ham.polynomial, ham.num_variables)
-    x = np.random.default_rng(rows).integers(0, 2, size=(rows, ham.num_variables),
-                                             dtype=np.int8)
+def test_row_blocked_term_table_energies_match_one_product(hallway_20, rows):
+    table = TermTable(hallway_20.polynomial, 20)
+    x = np.random.default_rng(rows).integers(0, 2, size=(rows, 20), dtype=np.int8)
     assert table.energies(x).tobytes() == one_product_energies(table, x).tobytes()
 
 
@@ -316,12 +316,6 @@ def traced_peak(call) -> int:
 
 
 MIB = 1 << 20
-
-
-@pytest.fixture(scope="module")
-def hallway_20():
-    """``hallway(10, 0.9)`` at K=5: 20 variables and 648 terms."""
-    return compile_hamiltonian(build_hallway(10, 0.9), CompilerConfig(5))
 
 
 def test_all_assignment_energies_peak_memory(hallway_20):
