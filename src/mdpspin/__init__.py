@@ -13,7 +13,7 @@ from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
                        minimal_truncation_order, truncated_q_table)
 from .dp import (QLearningConfig, best_policy_exhaustive, policy_evaluation_exact,
                  q_learning, value_iteration)
-from .errors import InstanceTooLargeError
+from .errors import InstanceTooLargeError, NoTruncationError
 from .mdp import (Mdp, ParseError, PolicyAssignment, ValidationError, build_hallway,
                   flat_index, load_mdp, save_mdp, terminal_states)
 from .pseudoboolean import (Monomial, PseudoBooleanPolynomial, all_assignment_energies,

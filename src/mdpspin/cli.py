@@ -16,12 +16,12 @@ import math
 import sys
 import typing
 
-from .anneal import check_exhaustive_size, success_probability
+from .anneal import success_probability
 from .compiler import CompilerConfig, compile_hamiltonian
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import InstanceTooLargeError
-from .experiments import (ExperimentConfig, _anneal, _write, prepare, run_k_heatmap,
-                          run_oracle_compare, run_resources, run_solve,
+from .experiments import (ExperimentConfig, _anneal, _prepare_exhaustive, _write, prepare,
+                          run_k_heatmap, run_oracle_compare, run_resources, run_solve,
                           run_tts_sweep)
 from .mdp import (HALLWAY_SLIP, Mdp, ParseError, ValidationError, build_hallway, load_mdp,
                   terminal_states)
@@ -125,9 +125,7 @@ def _cmd_anneal(args) -> int:
         missing = "--beta-start" if args.beta_start is None else "--beta-end"
         raise ValueError(f"{missing} is missing: give both beta flags or neither")
     config = _experiment_config(args)
-    mdp = _load_instance(args)
-    check_exhaustive_size(mdp.num_pairs)
-    inst = prepare(mdp, config)
+    inst = _prepare_exhaustive(_load_instance(args), config)
     _, ground = inst.ground()
     betas = None if args.beta_start is None else (args.beta_start, args.beta_end)
     schedule, reads, _ = _anneal(inst, config, betas)

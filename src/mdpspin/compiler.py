@@ -96,8 +96,9 @@ def _merge(masks: np.ndarray, weights: np.ndarray,
     Groups come in the order in which a dict keyed by the rows would first
     have seen them: the lexsort is stable, so each sorted run starts at its
     group's first row.  It sorts the words as 16-bit digits, which numpy
-    radix-sorts.  ``np.bincount`` adds a group's weights in row order from
-    0.0, so each sum equals ``d[key] = d.get(key, 0.0) + w`` over the rows.
+    radix-sorts.  ``np.bincount`` adds the weights in stable-sorted order,
+    which is row order within a group, from 0.0, so each sum equals
+    ``d[key] = d.get(key, 0.0) + w`` over the rows.
     """
     keys = list(masks.view(np.uint16).T)
     if pair is not None:
@@ -107,22 +108,17 @@ def _merge(masks: np.ndarray, weights: np.ndarray,
     new[1:] = np.any([k[1:] != k[:-1] for k in (key[order] for key in keys)], axis=0)
     starts = order[new]
     rank = np.argsort(starts)
-    number = np.empty_like(rank)
-    number[rank] = np.arange(rank.size)
-    group = np.empty_like(order)
-    group[order] = number[np.cumsum(new) - 1]
-    return starts[rank], np.bincount(group, weights=weights, minlength=rank.size)
+    return starts[rank], np.bincount(np.cumsum(new) - 1, weights=weights[order])[rank]
 
 
 def _monomials(masks: np.ndarray) -> list[tuple[int, ...]]:
     """The set bits of each row of mask words, ascending, as variable ids.
 
-    Each little-endian word is read as 8 bytes, each byte shifted through
-    its 8 bits, so bit b of byte j of word w is variable 64w + 8j + b.
+    Each little-endian word is read as 8 bytes, each byte unpacked low bit
+    first, so bit b of byte j of word w is variable 64w + 8j + b.
     """
     octets = masks.astype("<u8", copy=False).view(np.uint8)
-    bits = (octets[:, :, None] >> np.arange(8, dtype=np.uint8)) & np.uint8(1)
-    rows, ids = np.nonzero(bits.reshape(masks.shape[0], 64 * masks.shape[1]))
+    rows, ids = np.nonzero(np.unpackbits(octets, axis=1, bitorder="little"))
     ends = np.cumsum(np.bincount(rows, minlength=masks.shape[0])).tolist()
     ids = ids.tolist()
     return [tuple(ids[start:end]) for start, end in zip([0] + ends, ends)]

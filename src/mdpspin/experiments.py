@@ -24,7 +24,7 @@ from .anneal import (DESIRED_PROBABILITY, AnnealSchedule, SaRead, check_exhausti
 from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
                        minimal_truncation_order)
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
-from .errors import InstanceTooLargeError
+from .errors import InstanceTooLargeError, NoTruncationError
 from .mdp import HALLWAY_SLIP, Mdp, PolicyAssignment, build_hallway, terminal_states
 from .pseudoboolean import energies_match
 from .quadratize import (REDUCTION_PENALTY, QuboProblem, consistency_violations, project,
@@ -92,41 +92,36 @@ class Instance:
         return exhaustive_ground_state(self.ham.polynomial)
 
 
-def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance | None:
+def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance:
     """Pick K, compile, quadratize.
 
     K is ``config.truncation``, or the minimal order that recovers the
-    DP-optimal policy when that is None; None is returned when no
+    DP-optimal policy when that is None; NoTruncationError is raised when no
     K <= ``config.k_max`` does.
     """
     k = config.truncation
     if k is None:
         k = minimal_truncation_order(mdp, k_max=config.k_max)
         if k is None:
-            return None
+            raise NoTruncationError(f"no truncation order <= {config.k_max} recovers the "
+                                    f"optimal policy for |S|={mdp.num_states}, "
+                                    f"gamma={mdp.discount}")
     ham = compile_hamiltonian(mdp, CompilerConfig(k, config.penalty_strength))
     qubo = quadratize(ham.polynomial, config.reduction_penalty)
     return Instance(mdp, k, ham, qubo)
 
 
-def _hallway(config: ExperimentConfig, num_states: int, gamma: float) -> Instance:
-    """The prepared hallway of a single-instance runner; a ValueError when no
-    K <= ``config.k_max`` recovers its optimal policy.  A hallway whose
-    |S||A| variables are past the exhaustive ground state's limit is refused
-    before ``prepare`` spends anything on it."""
-    mdp = build_hallway(num_states, gamma, config.slip)
+def _prepare_exhaustive(mdp: Mdp, config: ExperimentConfig) -> Instance:
+    """``prepare`` for the runners that take the exhaustive ground state, after
+    refusing an MDP whose |S||A| variables are past that state's limit."""
     check_exhaustive_size(mdp.num_pairs)
-    inst = prepare(mdp, config)
-    if inst is None:
-        raise ValueError(f"no truncation order <= {config.k_max} recovers the "
-                         f"optimal policy for |S|={num_states}, gamma={gamma}")
-    return inst
+    return prepare(mdp, config)
 
 
 def _cells(config: ExperimentConfig, step: Callable[[Mdp], dict]) -> list[dict]:
     """One dict per grid hallway in instance-key order: its size and discount,
-    then ``step(mdp)``'s fields, or a ``status`` of ``unavailable: <reason>``
-    when the hallway is too large for the step."""
+    then ``step(mdp)``'s fields, or a ``status`` of ``no-truncation`` or, past
+    a size limit of the step, ``unavailable: <reason>``."""
     cells = []
     for size in sorted(config.sizes):
         for gamma in sorted(config.gammas):
@@ -135,6 +130,8 @@ def _cells(config: ExperimentConfig, step: Callable[[Mdp], dict]) -> list[dict]:
                 cell.update(step(build_hallway(size, gamma, config.slip)))
             except InstanceTooLargeError as e:
                 cell["status"] = f"unavailable: {e}"
+            except NoTruncationError:
+                cell["status"] = "no-truncation"
             cells.append(cell)
     return cells
 
@@ -183,10 +180,11 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
     """compile -> quadratize -> (exhaustive + SA) -> project -> DP comparison.
 
     Exhaustive search runs on the unreduced polynomial (``Instance.ground``).
-    Agreement requires every exhaustive minimizer to be feasible with interior
-    actions equal to value iteration's.
+    Agreement requires every exhaustive minimizer to be value iteration's
+    greedy policy: feasible, with the same action at every state.  The
+    ``interior`` fields show states 1..|S|-2 only.
     """
-    inst = _hallway(config, num_states, gamma)
+    inst = _prepare_exhaustive(build_hallway(num_states, gamma, config.slip), config)
     mdp, k, ham, qubo = inst.mdp, inst.truncation, inst.ham, inst.qubo
     _, greedy = value_iteration(mdp)
     vi_interior = _interior(greedy)
@@ -218,7 +216,7 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
                        "num_minimizers": len(minimizers),
                        "all_feasible": all(p.is_feasible() for p in policies),
                        "interior": _interior(policies[0]),
-                       "agreement": all(_interior(p) == vi_interior for p in policies)},
+                       "agreement": all((p.bits == greedy.bits).all() for p in policies)},
         "sa": {"num_reads": config.num_reads, "num_sweeps": config.num_sweeps,
                "beta_start": schedule.beta_start, "beta_end": schedule.beta_end,
                "best_energy": best.energy,
@@ -256,14 +254,10 @@ def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
 
     A cell with no qualifying K is marked ``no-truncation``, one too large
     for the K search or the exhaustive ground state ``unavailable: <reason>``;
-    neither gets TTS rows.  The ground state's limit is checked on |S||A|
-    before ``prepare`` runs.
+    neither gets TTS rows.
     """
     def step(mdp: Mdp) -> dict:
-        check_exhaustive_size(mdp.num_pairs)
-        inst = prepare(mdp, config)
-        if inst is None:
-            return {"status": "no-truncation"}
+        inst = _prepare_exhaustive(mdp, config)
         ground = inst.ground()[1]
         result = tts_sweep(inst.qubo.polynomial, ground, config.sweep_grid,
                            config.num_reads, config.desired_probability, rng_seed=config.seed)
@@ -297,8 +291,6 @@ def run_resources(config: ExperimentConfig) -> list[dict]:
     """
     def step(mdp: Mdp) -> dict:
         inst = prepare(mdp, config)
-        if inst is None:
-            return {"status": "no-truncation"}
         return {"report": count_resources(inst.qubo, truncation=inst.truncation,
                                           discount=mdp.discount, num_states=mdp.num_states,
                                           num_actions=mdp.num_actions),
@@ -314,7 +306,7 @@ def run_resources(config: ExperimentConfig) -> list[dict]:
 
 def run_oracle_compare(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
     """Pairwise interior-policy agreement across every solver family."""
-    inst = _hallway(config, num_states, gamma)
+    inst = _prepare_exhaustive(build_hallway(num_states, gamma, config.slip), config)
     mdp = inst.mdp
     minimizers, ground = inst.ground()
     _, greedy = value_iteration(mdp)

@@ -121,6 +121,7 @@ class PseudoBooleanPolynomial:
 
     @classmethod
     def from_text(cls, text: str) -> "PseudoBooleanPolynomial":
+        """Parse ``to_text``'s lines; raises ``ValueError("line N: ...")`` on a bad one."""
         poly = cls()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -129,6 +130,8 @@ class PseudoBooleanPolynomial:
             parts = line.split()
             try:
                 coeff = float(parts[0])
+                if not np.isfinite(coeff):
+                    raise ValueError(f"coefficient must be finite, got {parts[0]}")
                 poly.add_term([int(p) for p in parts[1:]], coeff)
             except ValueError as e:
                 raise ValueError(f"line {lineno}: {e}") from e

@@ -9,18 +9,18 @@ penalty
 
 which is zero exactly when z = x*y and at least M_OR otherwise.  While the
 rounds run, a monomial of degree >= 3 lives only as arrays: its column of a
-bool incidence of variables against those monomials, its degree, the sum of
-its variable ids and its stamp, the place in the term order that its last
-rewrite gave it.  Rewriting the holders of the pair clears two incidence
-rows of their columns and, for the holders that keep degree >= 3, sets the
-ancilla's row; the ancilla is fresh, so a rewritten monomial never meets an
-existing one.  A holder of degree 3 falls to degree 2: its last variable is
-its id sum less the pair, and it leaves the arrays as one term of the
-degree <= 2 dict.  That dict, which starts as the input's degree <= 2 terms
-and takes each round's fallen holders and gadget terms as they come, is the
-QUBO's term dict: each term added has a stamp above all before it, so the
-dict's order is the term order, and nothing in it is ever moved.  The input
-is not copied or changed.
+bool incidence of variables against those monomials, its degree and its
+stamp, the place in the term order that its last rewrite gave it.  Rewriting
+the holders of the pair clears two incidence rows of their columns and, for
+the holders that keep degree >= 3, sets the ancilla's row; the ancilla is
+fresh, so a rewritten monomial never meets an existing one.  A holder of
+degree 3 falls to degree 2: its last variable is the one row its column
+keeps once the pair's rows are cleared, and it leaves the arrays as one term
+of the degree <= 2 dict.  That dict, which starts as the input's degree <= 2
+terms and takes each round's fallen holders and gadget terms as they come,
+is the QUBO's term dict: each term added has a stamp above all before it, so
+the dict's order is the term order, and nothing in it is ever moved.  The
+input is not copied or changed.
 
 The pair counts are kept up to date, not recounted: a dense matrix counts,
 for every two variables, the degree >= 3 monomials holding both.  One
@@ -108,11 +108,12 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = REDUCTI
     the lost ones less one at each fallen holder's w.
 
     Column j of the incidence is one degree >= 3 monomial through all its
-    rewrites, with ``degree[j]``, ``idsum[j]`` and ``stamp[j]``.  A round
-    rewrites the holders in stamp order and restamps them past every earlier
-    stamp.  A holder of degree 3 is {x, y, w} with w = idsum - x - y and
-    leaves the incidence as the term (w, z) of ``low``, the degree <= 2
-    terms, which are the result's.
+    rewrites, with ``degree[j]`` and ``stamp[j]``.  A round clears rows x and
+    y of the holders' columns first, so a holder's lost counts are its
+    column's remaining rows, and a fallen holder's w is the one row below z
+    that it keeps.  It rewrites the holders in stamp order, restamps them
+    past every earlier stamp, and turns each fallen one into the term (w, z)
+    of ``low``, the degree <= 2 terms, which are the result's.
     """
     if not 0 < reduction_penalty < np.inf:
         raise ValueError(f"reduction penalty must be finite and positive, "
@@ -137,11 +138,10 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = REDUCTI
     incidence[np.fromiter(chain.from_iterable(monos), np.intp, int(degree.sum())),
               np.repeat(stamp, degree)] = True
     counts = np.zeros((capacity, capacity), dtype=np.int32)
-    # the float32 products are exact: every count and id sum is below 2^24
+    # the float32 product is exact: every count is below 2^24
     high = incidence[:base].astype(np.float32)
     counts[:base, :base] = high @ high.T
     np.fill_diagonal(counts, 0)
-    idsum = (np.arange(base, dtype=np.float32) @ high).astype(np.int64)
     entries: list[tuple[int, int, int]] = []
     z = base
     while True:
@@ -161,19 +161,17 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = REDUCTI
         cols = cols[np.argsort(stamp[cols])]
         kept = degree[cols] > 3  # the holders still of degree >= 3 once rewritten
         fallen, cols_kept = cols[~kept], cols[kept]
-        last = idsum[fallen] - (x + y)
+        incidence[x, cols] = incidence[y, cols] = False
         lost = incidence[:z, cols].sum(axis=1, dtype=np.int32)
-        lost[x] = lost[y] = 0
+        last = incidence[:z, fallen].argmax(axis=0)
         for v in (x, y):
             counts[v, :z] -= lost
             counts[:z, v] -= lost
         counts[x, y] = counts[y, x] = 0
         counts[z, :z] = counts[:z, z] = lost - np.bincount(last, minlength=z)
-        incidence[x, cols] = incidence[y, cols] = False
         incidence[last, fallen] = False
         incidence[z, cols_kept] = True
         degree[cols_kept] -= 1
-        idsum[cols_kept] += z - x - y
         stamp[cols] = np.arange(next_stamp, next_stamp + len(cols))
         next_stamp += len(cols)
         # z is the largest id so far, so each term below is sorted and new
@@ -218,22 +216,11 @@ def to_qubo_text(qubo: QuboProblem) -> str:
     poly = qubo.polynomial
     if poly.degree() > 2:
         raise ValueError("polynomial is not quadratic")
-    diag: dict[int, float] = {}
-    offdiag: dict[tuple[int, int], float] = {}
-    constant = 0.0
-    for mono, coeff in poly.terms.items():
-        if len(mono) == 0:
-            constant += coeff
-        elif len(mono) == 1:
-            diag[mono[0]] = coeff
-        else:
-            offdiag[mono] = coeff
-    lines = [
-        f"c constant offset {constant!r}",
-        f"p qubo 0 {qubo.num_variables} {len(diag)} {len(offdiag)}",
-    ]
-    for i in sorted(diag):
-        lines.append(f"{i} {i} {diag[i]!r}")
-    for i, j in sorted(offdiag):
-        lines.append(f"{i} {j} {offdiag[(i, j)]!r}")
+    terms = poly.terms
+    linear = sorted(m for m in terms if len(m) == 1)
+    pairs = sorted(m for m in terms if len(m) == 2)
+    lines = [f"c constant offset {poly.constant()!r}",
+             f"p qubo 0 {qubo.num_variables} {len(linear)} {len(pairs)}"]
+    lines += [f"{i} {i} {terms[i,]!r}" for i, in linear]
+    lines += [f"{i} {j} {terms[i, j]!r}" for i, j in pairs]
     return "\n".join(lines) + "\n"

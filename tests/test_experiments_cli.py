@@ -12,10 +12,12 @@ from mdpspin.anneal import AnnealSchedule, simulated_anneal
 from mdpspin.cli import main, parse_config_file
 from mdpspin.compiler import CompilerConfig, minimal_truncation_order
 from mdpspin.dp import QLearningConfig
+from mdpspin.dp import value_iteration as dp_value_iteration
+from mdpspin.errors import NoTruncationError
 from mdpspin.experiments import (ExperimentConfig, prepare, run_k_heatmap,
                                  run_oracle_compare, run_resources, run_solve,
                                  run_tts_sweep)
-from mdpspin.mdp import HALLWAY_SLIP, ParseError, build_hallway, save_mdp
+from mdpspin.mdp import HALLWAY_SLIP, ParseError, PolicyAssignment, build_hallway, save_mdp
 from mdpspin.quadratize import REDUCTION_PENALTY
 
 
@@ -50,6 +52,19 @@ class TestRunSolve:
         record = run_solve(fast_config(truncation=2), 6, 0.8)
         assert record["exhaustive"]["all_feasible"] is True
         assert record["exhaustive"]["interior"] == [0, 0, 1, 1]
+
+    def test_agreement_compares_every_state(self, monkeypatch):
+        # value iteration's greedy policy, changed only at the right end tile
+        def value_iteration(mdp):
+            q, greedy = dp_value_iteration(mdp)
+            actions = greedy.actions()
+            actions[-1] = 1 - actions[-1]
+            return q, PolicyAssignment.from_actions(actions, mdp.num_actions)
+
+        monkeypatch.setattr(experiments, "value_iteration", value_iteration)
+        record = run_solve(fast_config(truncation=3), 6, 0.99)
+        assert record["exhaustive"]["interior"] == record["oracle"]["vi_interior"]
+        assert record["exhaustive"]["agreement"] is False
 
     def test_policy_match_rule_counts_at_least_the_energy_hits(self):
         # a read that attains the ground energy projects onto the unique
@@ -106,6 +121,14 @@ def test_resources_prints_a_cell_with_no_truncation(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == "|S|=6 gamma=0.7: no-truncation\n"
     assert (tmp_path / "resources.csv").read_text().count("\n") == 1
+
+
+def test_prepare_refuses_an_instance_with_no_qualifying_order():
+    with pytest.raises(NoTruncationError,
+                       match=r"^no truncation order <= 2 recovers the optimal policy "
+                             r"for \|S\|=6, gamma=0\.9$") as refusal:
+        prepare(build_hallway(6, 0.9), ExperimentConfig(k_max=2))
+    assert isinstance(refusal.value, ValueError)
 
 
 RUNNERS = {"solve": lambda config: run_solve(config, 4, 0.6),

@@ -148,6 +148,11 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 2: variable ids must be non-negative, got -1"):
             PseudoBooleanPolynomial.from_text("2.0 0\n1.0 -1\n")
 
+    @pytest.mark.parametrize("coeff", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_reports_line(self, coeff):
+        with pytest.raises(ValueError, match=f"line 2: coefficient must be finite, got {coeff}$"):
+            PseudoBooleanPolynomial.from_text(f"2.0 0\n{coeff} 1 2 3\n")
+
 
 def test_negative_variable_count_rejected():
     with pytest.raises(ValueError, match="non-negative, got -3"):

@@ -9,8 +9,8 @@ import hypothesis.strategies as st
 
 from mdpspin import CompilerConfig, Mdp, build_hallway, compile_hamiltonian
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
-from mdpspin.quadratize import (AncillaRegistry, consistency_violations, project, quadratize,
-                                rosenberg_penalty, to_qubo_text)
+from mdpspin.quadratize import (AncillaRegistry, QuboProblem, consistency_violations, project,
+                                quadratize, rosenberg_penalty, to_qubo_text)
 from oracles import dict_quadratize, lift, minimized_over_ancillas
 
 
@@ -378,10 +378,20 @@ class TestQuboText:
         for line in lines[2:]:
             i, j, _ = line.split()
             assert int(i) <= int(j)
+        # inserted in no export order: a coupling before a linear term,
+        # descending ids, the constant last
+        hand = PseudoBooleanPolynomial(4, {(2, 3): -1.25, (3,): 0.5, (1,): 2.0, (0, 3): 4.0,
+                                           (0, 2): -3.0, (): -0.75})
+        assert to_qubo_text(QuboProblem(hand, AncillaRegistry(4))) == (
+            "c constant offset -0.75\n"
+            "p qubo 0 4 2 3\n"
+            "1 1 2.0\n"
+            "3 3 0.5\n"
+            "0 2 -3.0\n"
+            "0 3 4.0\n"
+            "2 3 -1.25\n")
 
     def test_rejects_higher_degree(self):
-        from mdpspin.quadratize import QuboProblem
-
         poly = PseudoBooleanPolynomial(3).add_term([0, 1, 2], 1.0)
         fake = QuboProblem(poly, AncillaRegistry(3))
         with pytest.raises(ValueError):
