@@ -210,8 +210,8 @@ def consistency_violations(full_assignment, registry: AncillaRegistry) -> int:
 def to_qubo_text(qubo: QuboProblem) -> str:
     """Coordinate-list export: one ``i j coeff`` line per nonzero, i <= j.
 
-    Linear terms appear on the diagonal; the constant term rides in a
-    comment so common annealer tooling can ingest the file directly.
+    Linear terms on the diagonal by ascending i, then couplings by ascending
+    (i, j); the constant rides in a comment, so annealer tooling reads the file as is.
     """
     poly = qubo.polynomial
     if poly.degree() > 2:
@@ -221,6 +221,6 @@ def to_qubo_text(qubo: QuboProblem) -> str:
     pairs = sorted(m for m in terms if len(m) == 2)
     lines = [f"c constant offset {poly.constant()!r}",
              f"p qubo 0 {qubo.num_variables} {len(linear)} {len(pairs)}"]
-    lines += [f"{i} {i} {terms[i,]!r}" for i, in linear]
+    lines += [f"{i} {i} {terms[(i,)]!r}" for (i,) in linear]
     lines += [f"{i} {j} {terms[i, j]!r}" for i, j in pairs]
     return "\n".join(lines) + "\n"
