@@ -11,12 +11,15 @@ file holds each side's runs, median and quartiles of every end-to-end
 metric, the failed share, and the pairs the change won.  Under ``unscaled``
 each side also keeps what a run prints on its ``unscaled:`` line, not scaled
 by the reference loop: the median round, the median set-up and the speed
-factor, with their medians.  One traced run of every workload per side at
-``--trace-seed`` adds the per-layer metrics, under ``traced`` by workload,
-and the trace file's median self time of each layer on each instance, under
-``self_time_by_instance``.  The trace seed has no default: pick one the
-change was not tuned on, so its per-layer numbers are not the ones it was
-built against.
+factor, with their medians.  TRACED_PAIRS pairs of traced runs of every
+workload at ``--trace-seed``, again alternating which side runs first, add
+the per-layer metrics under ``traced`` by workload, and the trace file's
+median self time of each layer on each instance under
+``self_time_by_instance``: each side keeps every value's traced runs and
+their median, so that a layer's change can be told from host drift that
+moves every layer.  The trace seed has no default: pick one the change was
+not tuned on, so its per-layer numbers are not the ones it was built
+against.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+TRACED_PAIRS = 3
 SEED = 0
 UNSCALED = re.compile(r"unscaled: median round ([\d.]+) s, "
                       r"median set-up ([\d.]+) s; speed factor ([\d.]+)")
@@ -75,6 +79,21 @@ def traced(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return record
 
 
+def runs_median(values: list[float]) -> dict:
+    return {"median": statistics.median(values), "runs": values}
+
+
+def traced_summary(records: list[dict]) -> dict:
+    """Each layer's traced runs and their median for one side, and the same for
+    each instance's self time of each layer."""
+    times = [r.pop("self_time_by_instance") for r in records]
+    side = {name: runs_median([r[name] for r in records]) for name in records[0]}
+    side["self_time_by_instance"] = {
+        instance: {layer: runs_median([t[instance][layer] for t in times]) for layer in layers}
+        for instance, layers in times[0].items()}
+    return side
+
+
 def summary(results: list[dict], metrics: list[str]) -> dict:
     """One side's runs, median and quartiles of each metric, its failed share and
     its unscaled timings."""
@@ -89,8 +108,7 @@ def summary(results: list[dict], metrics: list[str]) -> dict:
                 all_correct=all(r["correct"] for r in results))
     side["unscaled"] = {}
     for name in results[0]["unscaled"]:
-        values = [r["unscaled"][name] for r in results]
-        side["unscaled"][name] = {"median": statistics.median(values), "runs": values}
+        side["unscaled"][name] = runs_median([r["unscaled"][name] for r in results])
     return side
 
 
@@ -128,16 +146,23 @@ def main(argv=None) -> int:
                                           entry["change"][name]["runs"]))
                 for name, better in metrics.items()}
             workloads[workload] = entry
-        layers = {workload: {side: traced(checkouts[side], workload, args.trace_seed, seconds)
-                             for side in checkouts}
-                  for workload in names}
+        layers = {}
+        for workload in names:
+            records = {"parent": [], "change": []}
+            for pair in range(TRACED_PAIRS):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    records[side].append(traced(checkouts[side], workload,
+                                                args.trace_seed, seconds))
+                    print(f"{workload} traced pair {pair} {side}", flush=True)
+            layers[workload] = {side: traced_summary(records[side]) for side in records}
 
     record = {
         "parent": commits["parent"], "commit": commits["change"],
         "python": platform.python_version(), "numpy": np.__version__,
         "cpu_count": os.cpu_count(), "run_seconds": seconds, "seed": SEED,
         "pairs": PAIRS, "workloads": workloads,
-        "trace_seed": args.trace_seed, "traced": layers,
+        "trace_seed": args.trace_seed, "traced_pairs": TRACED_PAIRS, "traced": layers,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

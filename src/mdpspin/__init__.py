@@ -6,9 +6,8 @@ substitution, solve by exhaustive search or simulated annealing, and
 validate recovered policies against exact dynamic programming.
 """
 
-from .anneal import (AnnealSchedule, SaRead, TtsEstimate, TtsSweepResult,
-                     default_beta_range, exhaustive_ground_state, simulated_anneal,
-                     success_probability, tts, tts_sweep)
+from .anneal import (AnnealSchedule, SaRead, TtsEstimate, default_beta_range,
+                     exhaustive_ground_state, simulated_anneal, success_probability, tts)
 from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
                        minimal_truncation_order, truncated_q_table)
 from .dp import (QLearningConfig, best_policy_exhaustive, policy_evaluation_exact,

@@ -280,8 +280,8 @@ class TtsEstimate:
     success_probability: float
     std_error: float
     effort: float
-    desired_probability: float
     value: float
+    value_std_error: float
     status: str  # "finite" | "undefined-all-success" | "undefined-no-success"
 
     @property
@@ -291,64 +291,21 @@ class TtsEstimate:
 
 def tts(success_prob: float, effort: float, desired_probability: float = DESIRED_PROBABILITY,
         std_error: float = 0.0) -> TtsEstimate:
-    """Repeated-trial time to solution; degenerate cases carry a status flag."""
+    """Repeated-trial time to solution and its first-order error, the binomial
+    ``std_error`` propagated through the formula; degenerate cases carry a
+    status flag and a NaN error."""
     if not (0.0 <= success_prob <= 1.0):
         raise ValueError("success probability must be in [0, 1]")
     if not (0.0 < desired_probability < 1.0):
         raise ValueError("desired probability must be in (0, 1)")
     if success_prob == 0.0:
-        return TtsEstimate(success_prob, std_error, effort, desired_probability,
-                           math.inf, "undefined-no-success")
+        return TtsEstimate(success_prob, std_error, effort, math.inf, math.nan,
+                           "undefined-no-success")
     if success_prob == 1.0:
-        return TtsEstimate(success_prob, std_error, effort, desired_probability,
-                           math.nan, "undefined-all-success")
-    value = effort * math.log(1.0 - desired_probability) / math.log(1.0 - success_prob)
-    return TtsEstimate(success_prob, std_error, effort, desired_probability,
-                       value, "finite")
-
-
-def tts_std_error(estimate: TtsEstimate) -> float:
-    """First-order propagation of the binomial error through the TTS formula."""
-    p = estimate.success_probability
-    if not estimate.is_finite or estimate.std_error == 0.0:
-        return math.nan if not estimate.is_finite else 0.0
-    log_term = math.log(1.0 - p)
-    deriv = (estimate.effort * math.log(1.0 - estimate.desired_probability)
-             / ((1.0 - p) * log_term * log_term))
-    return abs(deriv) * estimate.std_error
-
-
-@dataclass(frozen=True)
-class TtsSweepRow:
-    num_sweeps: int
-    estimate: TtsEstimate
-
-
-@dataclass(frozen=True)
-class TtsSweepResult:
-    rows: tuple[TtsSweepRow, ...]
-    optimal: TtsSweepRow | None
-
-    @property
-    def optimal_num_sweeps(self) -> int | None:
-        return self.optimal.num_sweeps if self.optimal else None
-
-
-def tts_sweep(poly: PseudoBooleanPolynomial, ground_energy: float,
-              sweep_grid: Sequence[int], num_reads: int,
-              desired_probability: float = DESIRED_PROBABILITY,
-              rng_seed: int = 0) -> TtsSweepResult:
-    """Anneal at each sweep count and report TTS with effort n_s * N, N being
-    the polynomial's ``num_variables``."""
-    n = poly.num_variables
-    b0, b1 = default_beta_range(poly)
-    rows: list[TtsSweepRow] = []
-    for ns in sweep_grid:
-        schedule = AnnealSchedule(num_sweeps=int(ns), beta_start=b0, beta_end=b1,
-                                  num_reads=num_reads, rng_seed=rng_seed)
-        reads = simulated_anneal(poly, schedule)
-        p, err = success_probability(reads, ground_energy)
-        rows.append(TtsSweepRow(int(ns), tts(p, float(ns * n), desired_probability, err)))
-    finite = [r for r in rows if r.estimate.is_finite]
-    optimal = min(finite, key=lambda r: r.estimate.value) if finite else None
-    return TtsSweepResult(rows=tuple(rows), optimal=optimal)
+        return TtsEstimate(success_prob, std_error, effort, math.nan, math.nan,
+                           "undefined-all-success")
+    scale = effort * math.log(1.0 - desired_probability)
+    log_term = math.log(1.0 - success_prob)
+    deriv = scale / ((1.0 - success_prob) * log_term * log_term)
+    return TtsEstimate(success_prob, std_error, effort, scale / log_term,
+                       0.0 if std_error == 0.0 else abs(deriv) * std_error, "finite")

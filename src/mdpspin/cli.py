@@ -287,9 +287,8 @@ def _cmd_grid(args) -> int:
         elif cell["status"] != "ok":
             print(head + cell["status"])
         elif args.command == "tts-sweep":
-            opt = cell["result"].optimal
-            print(f"{head}n_s*={cell['result'].optimal_num_sweeps} "
-                  f"TTS*={opt.estimate.value if opt else math.nan:.6g}")
+            ns, est = cell["optimal"] or (None, None)
+            print(f"{head}n_s*={ns} TTS*={est.value if est else math.nan:.6g}")
         else:
             rep = cell["report"]
             print(f"{head}K={rep.truncation} |V|={rep.logical_variables} "

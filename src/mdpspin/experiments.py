@@ -20,7 +20,7 @@ from typing import Callable
 
 from .anneal import (DESIRED_PROBABILITY, AnnealSchedule, SaRead, check_exhaustive_size,
                      default_beta_range, exhaustive_ground_state, simulated_anneal,
-                     success_probability, tts_std_error, tts_sweep)
+                     success_probability, tts)
 from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
                        minimal_truncation_order)
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
@@ -57,9 +57,14 @@ class ExperimentConfig:
         for name in ("sizes", "gammas", "sweep_grid", "out_dir"):
             if getattr(self, name) in ((), ""):
                 raise ValueError(f"{name} must not be empty")
-        for name in ("k_max", "num_qlearning_seeds"):
+        for name in ("k_max", "num_qlearning_seeds", "num_reads", "num_sweeps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if min(self.sweep_grid) < 1:
+            raise ValueError(f"sweep_grid must hold counts >= 1, got {self.sweep_grid}")
+        if not 0.0 < self.desired_probability < 1.0:
+            raise ValueError(f"desired_probability must be in (0, 1), "
+                             f"got {self.desired_probability!r}")
 
     def as_dict(self, experiment: str) -> dict:
         """The fields, after the name of the ``experiment`` that ran them."""
@@ -250,30 +255,37 @@ def run_k_heatmap(config: ExperimentConfig) -> list[dict]:
 
 
 def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
-    """Sweep-count scan per instance, reporting TTS rows and the optimum.
+    """Sweep-count scan per instance: ``rows`` of (sweeps, TTS estimate) and the
+    ``optimal`` row, the first least finite TTS in grid order (None without one).
 
-    A cell with no qualifying K is marked ``no-truncation``, one too large
-    for the K search or the exhaustive ground state ``unavailable: <reason>``;
-    neither gets TTS rows.
+    Each sweep count anneals through ``_anneal``, and its effort is sweeps
+    times the QUBO's variables.  A cell with no qualifying K is marked
+    ``no-truncation``, one too large for the K search or the exhaustive ground
+    state ``unavailable: <reason>``; neither gets TTS rows.
     """
     def step(mdp: Mdp) -> dict:
         inst = _prepare_exhaustive(mdp, config)
         ground = inst.ground()[1]
-        result = tts_sweep(inst.qubo.polynomial, ground, config.sweep_grid,
-                           config.num_reads, config.desired_probability, rng_seed=config.seed)
+        rows = []
+        for ns in config.sweep_grid:
+            _, reads, _ = _anneal(inst, dataclasses.replace(config, num_sweeps=ns))
+            p, err = success_probability(reads, ground)
+            rows.append((ns, tts(p, float(ns * inst.qubo.num_variables),
+                                 config.desired_probability, err)))
+        optimal = min((r for r in rows if r[1].is_finite), key=lambda r: r[1].value,
+                      default=None)
         return {"truncation": inst.truncation, "variables": inst.qubo.num_variables,
-                "ground_energy": ground, "result": result, "status": "ok"}
+                "ground_energy": ground, "rows": rows, "optimal": optimal, "status": "ok"}
 
     out = _cells(config, step)
-    rows = [[i["num_states"], i["gamma"], i["truncation"], i["variables"], row.num_sweeps,
-             row.estimate.success_probability, row.estimate.std_error, row.estimate.effort,
-             row.estimate.value, tts_std_error(row.estimate), row.estimate.status]
-            for i in out if i["status"] == "ok" for row in i["result"].rows]
-    summary = [[i["num_states"], i["gamma"],
-                i["result"].optimal_num_sweeps if i["status"] == "ok" else "",
-                i["result"].optimal.estimate.value
-                if i["status"] == "ok" and i["result"].optimal else ""]
-               for i in out]
+    rows = [[i["num_states"], i["gamma"], i["truncation"], i["variables"], ns,
+             est.success_probability, est.std_error, est.effort, est.value,
+             est.value_std_error, est.status]
+            for i in out if i["status"] == "ok" for ns, est in i["rows"]]
+    summary = []
+    for i in out:
+        ns, est = i.get("optimal") or ("", None)
+        summary.append([i["num_states"], i["gamma"], ns, est.value if est else ""])
     _write_tables(config, "tts-sweep", {
         "tts_sweep.csv": (["num_states", "gamma", "truncation", "variables", "num_sweeps",
                            "p_s", "p_s_stderr", "effort", "tts", "tts_stderr", "status"],

@@ -18,6 +18,7 @@ temporary of the 2^n energies' size is held beside them, and
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -61,14 +62,17 @@ class PseudoBooleanPolynomial:
     def add_term(self, variables: Iterable[int], coeff: float) -> "PseudoBooleanPolynomial":
         """Accumulate ``coeff`` onto the (normalized) monomial; drops tiny results.
 
-        A negative variable id raises ``ValueError``.
+        A negative variable id or a non-finite coefficient raises ``ValueError``.
         """
+        coeff = float(coeff)
+        if not math.isfinite(coeff):
+            raise ValueError(f"coefficient must be finite, got {coeff}")
         mono = normalize_monomial(variables)
         if mono:
             if mono[0] < 0:
                 raise ValueError(f"variable ids must be non-negative, got {mono[0]}")
             self.num_variables = max(self.num_variables, mono[-1] + 1)
-        new = self.terms.get(mono, 0.0) + float(coeff)
+        new = self.terms.get(mono, 0.0) + coeff
         if abs(new) <= DROP_TOL:
             self.terms.pop(mono, None)
         else:
@@ -129,10 +133,7 @@ class PseudoBooleanPolynomial:
                 continue
             parts = line.split()
             try:
-                coeff = float(parts[0])
-                if not np.isfinite(coeff):
-                    raise ValueError(f"coefficient must be finite, got {parts[0]}")
-                poly.add_term([int(p) for p in parts[1:]], coeff)
+                poly.add_term([int(p) for p in parts[1:]], float(parts[0]))
             except ValueError as e:
                 raise ValueError(f"line {lineno}: {e}") from e
         return poly

@@ -8,16 +8,21 @@ consistent ancilla values, the QUBO minimum over ancillas and the
 dict-rewriting reduction (order reduction), the whole-vector dense
 enumeration and ground state (blocked dense enumeration and the blocked
 ground-state match), the one-product term-table energies (row-blocked
-``TermTable.energies``) and the inverse of ``flat_index``.
+``TermTable.energies``), the inverse of ``flat_index``, the sweep loop over
+the polynomial (``run_tts_sweep``'s loop over ``_anneal``) and the TTS error
+read off an estimate (the error ``tts`` computes).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from mdpspin.anneal import EXHAUSTIVE_MAX_MINIMIZERS, check_exhaustive_size
+from mdpspin.anneal import (EXHAUSTIVE_MAX_MINIMIZERS, AnnealSchedule, TtsEstimate,
+                            check_exhaustive_size, default_beta_range, simulated_anneal,
+                            success_probability, tts)
 from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp
 from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, TermTable, _half_on,
@@ -277,3 +282,38 @@ def dict_quadratize(poly: PseudoBooleanPolynomial,
     work.num_variables = z
     registry = AncillaRegistry(base_count=base, entries=tuple(entries))
     return QuboProblem(polynomial=work, registry=registry)
+
+
+def tts_sweep(poly: PseudoBooleanPolynomial, ground_energy: float,
+              sweep_grid: Sequence[int], num_reads: int, desired_probability: float,
+              rng_seed: int) -> tuple[list[tuple[int, TtsEstimate]],
+                                      tuple[int, TtsEstimate] | None]:
+    """(sweeps, TTS estimate) rows and the first least finite one, annealing
+    the polynomial itself with effort n_s * N, N being its ``num_variables``.
+
+    It takes the beta range once and builds each schedule directly, where the
+    runner anneals each sweep count through ``_anneal``.
+    """
+    n = poly.num_variables
+    b0, b1 = default_beta_range(poly)
+    rows = []
+    for ns in sweep_grid:
+        schedule = AnnealSchedule(num_sweeps=int(ns), beta_start=b0, beta_end=b1,
+                                  num_reads=num_reads, rng_seed=rng_seed)
+        reads = simulated_anneal(poly, schedule)
+        p, err = success_probability(reads, ground_energy)
+        rows.append((int(ns), tts(p, float(ns * n), desired_probability, err)))
+    finite = [r for r in rows if r[1].is_finite]
+    return rows, (min(finite, key=lambda r: r[1].value) if finite else None)
+
+
+def tts_std_error(estimate: TtsEstimate, desired_probability: float) -> float:
+    """First-order propagation of the binomial error through the TTS formula,
+    from the estimate's fields, where ``tts`` computes it with the value."""
+    p = estimate.success_probability
+    if not estimate.is_finite or estimate.std_error == 0.0:
+        return math.nan if not estimate.is_finite else 0.0
+    log_term = math.log(1.0 - p)
+    deriv = (estimate.effort * math.log(1.0 - desired_probability)
+             / ((1.0 - p) * log_term * log_term))
+    return abs(deriv) * estimate.std_error

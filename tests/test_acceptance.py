@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from mdpspin.anneal import (AnnealSchedule, default_beta_range, exhaustive_ground_state,
-                            simulated_anneal, success_probability, tts, tts_sweep)
+from mdpspin.anneal import exhaustive_ground_state, tts
 from mdpspin.compiler import (CompilerConfig, compile_hamiltonian,
                               minimal_truncation_order, truncated_q_table)
 from mdpspin.dp import (best_policy_exhaustive, policy_evaluation_exact, q_learning,
                         QLearningConfig, value_iteration)
+from mdpspin.experiments import ExperimentConfig, run_tts_sweep
 from mdpspin.mdp import PolicyAssignment, build_hallway, policy_rows, terminal_states
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
 from mdpspin.quadratize import quadratize, rosenberg_penalty
@@ -239,19 +239,12 @@ def test_c07_substitution_gadget_truth_table():
 
 
 def test_c08_annealer_competence_at_low_discount():
-    mdp = build_hallway(6, 0.6)
-    k = minimal_truncation_order(mdp)
-    ham = compile_hamiltonian(mdp, CompilerConfig(k, 3.0))
-    qubo = quadratize(ham.polynomial, 5.0, num_variables=12)
-    _, ground = exhaustive_ground_state(qubo.polynomial)
-    beta0, beta1 = default_beta_range(qubo.polynomial)
-    schedule = AnnealSchedule(2, beta0, beta1, num_reads=1000, rng_seed=2718)
-    reads = simulated_anneal(qubo.polynomial, schedule, num_variables=qubo.num_variables)
-    p_s, _ = success_probability(reads, ground)
-    sweep = tts_sweep(qubo.polynomial, ground, (1, 2, 3, 5, 7, 10), 1000,
-                      rng_seed=2718)
-    has_finite = sweep.optimal is not None
-    n_star = sweep.optimal_num_sweeps
+    [cell] = run_tts_sweep(ExperimentConfig(sizes=(6,), gammas=(0.6,),
+                                            sweep_grid=(1, 2, 3, 5, 7, 10),
+                                            num_reads=1000, seed=2718))
+    p_s = dict(cell["rows"])[2].success_probability
+    has_finite = cell["optimal"] is not None
+    n_star = cell["optimal"][0] if has_finite else None
     ok = p_s > 0.05 and has_finite and n_star is not None and n_star <= 10
     report(8, ok, f"gamma=0.6 quadratized: p_s(n_s=2)={p_s:.3f} (>0.05), "
                   f"n_s*={n_star} (<=10), finite TTS={has_finite}")

@@ -10,13 +10,13 @@ import hypothesis.strategies as st
 
 from mdpspin.anneal import (AnnealSchedule, SaRead, _level_plan, default_beta_range,
                             exhaustive_ground_state, simulated_anneal, success_probability,
-                            tts, tts_std_error, tts_sweep)
+                            tts)
 from mdpspin.compiler import CompilerConfig, compile_hamiltonian
 from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, policy_rows
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial, TermTable
 from mdpspin.quadratize import quadratize
-from oracles import whole_vector_ground_state
+from oracles import tts_std_error, whole_vector_ground_state
 
 
 def single_negative_variable():
@@ -423,37 +423,17 @@ class TestTts:
 
     def test_error_propagation_finite(self):
         est = tts(0.4, 2.0, 0.99, std_error=0.05)
-        assert tts_std_error(est) > 0.0
-        assert math.isnan(tts_std_error(tts(1.0, 1.0)))
+        assert est.value_std_error > 0.0
+        assert math.isnan(tts(1.0, 1.0).value_std_error)
 
-
-class TestTtsSweep:
-    def _instance(self):
-        mdp = build_hallway(6, 0.6)
-        ham = compile_hamiltonian(mdp, CompilerConfig(2, 3.0))
-        qubo = quadratize(ham.polynomial, 5.0, num_variables=12)
-        _, ground = exhaustive_ground_state(qubo.polynomial)
-        return qubo, ground
-
-    def test_deterministic_rerun(self):
-        qubo, ground = self._instance()
-        kw = dict(sweep_grid=(1, 2, 4), num_reads=100, rng_seed=5)
-        a = tts_sweep(qubo.polynomial, ground, **kw)
-        b = tts_sweep(qubo.polynomial, ground, **kw)
-        assert a == b
-
-    def test_effort_scales_with_sweeps_and_variables(self):
-        qubo, ground = self._instance()
-        result = tts_sweep(qubo.polynomial, ground, (2, 4), 50, rng_seed=1)
-        efforts = [r.estimate.effort for r in result.rows]
-        assert efforts == [2 * qubo.num_variables, 4 * qubo.num_variables]
-
-    def test_success_probability_roughly_monotone_in_sweeps(self):
-        qubo, ground = self._instance()
-        result = tts_sweep(qubo.polynomial, ground, (2, 30), 400, rng_seed=2)
-        (lo, hi) = result.rows
-        slack = 2 * (lo.estimate.std_error + hi.estimate.std_error)
-        assert hi.estimate.success_probability >= lo.estimate.success_probability - slack
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.25, 0.5, 0.99, 1.0])
+    def test_value_std_error_is_the_first_order_propagation(self, p):
+        for std_error in (0.0, 0.01, 0.2):
+            for desired in (0.5, 0.99):
+                est = tts(p, 37.0, desired, std_error)
+                want = tts_std_error(est, desired)
+                assert est.value_std_error == want or (math.isnan(want)
+                                                       and math.isnan(est.value_std_error))
 
 
 def test_native_higher_degree_annealing_matches_reduced():

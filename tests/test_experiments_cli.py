@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -19,6 +20,7 @@ from mdpspin.experiments import (ExperimentConfig, prepare, run_k_heatmap,
                                  run_tts_sweep)
 from mdpspin.mdp import HALLWAY_SLIP, ParseError, PolicyAssignment, build_hallway, save_mdp
 from mdpspin.quadratize import REDUCTION_PENALTY
+from oracles import tts_sweep
 
 
 def fast_config(**overrides):
@@ -102,8 +104,46 @@ def test_run_tts_sweep_deterministic(tmp_path):
     b = run_tts_sweep(config)
     second = (tmp_path / "tts_sweep.csv").read_text()
     assert first == second
-    assert a[0]["result"] == b[0]["result"]
+    assert a[0]["rows"] == b[0]["rows"]
     assert (tmp_path / "tts_sweep_summary.csv").exists()
+
+
+class TestRunTtsSweepRows:
+    def test_rows_equal_the_reference_loop(self):
+        # at three reads and seed 1 only hallway(4, 0.6) has a finite optimum;
+        # every p_s of hallway(4, 0.9) is 0 or 1
+        config = fast_config(sizes=(4, 6), gammas=(0.6, 0.9), sweep_grid=(1, 10, 50),
+                             num_reads=3, seed=1)
+        cells = run_tts_sweep(config)
+        assert [c["status"] for c in cells] == ["ok"] * 4
+        for cell in cells:
+            inst = prepare(build_hallway(cell["num_states"], cell["gamma"], config.slip),
+                           config)
+            rows, optimal = tts_sweep(
+                inst.qubo.polynomial, cell["ground_energy"], config.sweep_grid,
+                config.num_reads, config.desired_probability, config.seed)
+            assert [ns for ns, _ in cell["rows"]] == [ns for ns, _ in rows]
+            for (_, est), (_, ref) in zip(cell["rows"], rows):
+                for got, want in zip(dataclasses.astuple(est), dataclasses.astuple(ref)):
+                    assert got == want or (math.isnan(got) and math.isnan(want))
+            assert cell["optimal"] == optimal
+        assert [c["optimal"] is not None for c in cells] == [True, False, False, False]
+        assert [est.success_probability for _, est in cells[1]["rows"]] == [0.0, 1.0, 1.0]
+
+    def _rows(self, sweep_grid, num_reads, seed):
+        [cell] = run_tts_sweep(fast_config(sizes=(6,), gammas=(0.6,), truncation=2,
+                                           sweep_grid=sweep_grid, num_reads=num_reads,
+                                           seed=seed))
+        return cell, [est for _, est in cell["rows"]]
+
+    def test_effort_scales_with_sweeps_and_variables(self):
+        cell, rows = self._rows((2, 4), 50, seed=1)
+        assert [est.effort for est in rows] == [2 * cell["variables"], 4 * cell["variables"]]
+
+    def test_success_probability_roughly_monotone_in_sweeps(self):
+        _, (lo, hi) = self._rows((2, 30), 400, seed=2)
+        slack = 2 * (lo.std_error + hi.std_error)
+        assert hi.success_probability >= lo.success_probability - slack
 
 
 def test_run_resources_rows(tmp_path):
@@ -220,6 +260,10 @@ class TestConfigFile:
         ("tts-sweep", "sweep_grid ="),
         ("k-heatmap", "out_dir ="),
         ("oracle-compare", "num_qlearning_seeds = 0"),
+        ("solve", "desired_probability = 1.5"),
+        ("tts-sweep", "num_reads = 0"),
+        ("solve", "num_sweeps = 0"),
+        ("k-heatmap", "sweep_grid = 3, 0"),
     ], ids=lambda v: v.split()[0] if "=" in v else v)
     def test_out_of_range_value_names_its_field(self, tmp_path, capsys, command, line):
         path = tmp_path / "bad.cfg"

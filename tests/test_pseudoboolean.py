@@ -168,6 +168,17 @@ def test_add_term_rejects_negative_ids():
     assert poly.terms == {} and poly.num_variables == 3
 
 
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), float("-inf")])
+def test_add_term_rejects_non_finite_coefficients(coeff):
+    poly = PseudoBooleanPolynomial(3).add_term([0], 1.0)
+    for ids in ([], [4], [0, 1, 2]):
+        with pytest.raises(ValueError, match=f"^coefficient must be finite, got {coeff}$"):
+            poly.add_term(ids, coeff)
+    assert poly.terms == {(0,): 1.0} and poly.num_variables == 3
+    with pytest.raises(ValueError, match=f"^coefficient must be finite, got {coeff}$"):
+        PseudoBooleanPolynomial(terms={(0,): coeff})
+
+
 @given(polynomials(max_vars=8))
 @settings(max_examples=40, deadline=None)
 def test_all_assignment_energies_matches_evaluate(pq):
