@@ -253,23 +253,15 @@ def exhaustive_ground_state(poly: PseudoBooleanPolynomial
     return list(bit_rows(idx, n)), best
 
 
-def success_probability(reads: Sequence[SaRead], ground_energy: float,
-                        target_bits: np.ndarray | None = None) -> tuple[float, float]:
+def success_probability(reads: Sequence[SaRead], ground_energy: float) -> tuple[float, float]:
     """Fraction of successful reads with its binomial standard error.
 
-    A read succeeds when it attains the ground energy within ENERGY_MATCH_TOL
-    or, when ``target_bits`` is given, when its first ``len(target_bits)``
-    bits equal them (the reference original-variable assignment).
+    A read succeeds when it attains the ground energy within ENERGY_MATCH_TOL.
     """
     if not reads:
         raise ValueError("success probability needs at least one read")
-    if target_bits is None:
-        energies = np.fromiter((r.energy for r in reads), np.float64, len(reads))
-        hits = int(np.count_nonzero(energies_match(energies, ground_energy)))
-    else:
-        ref = np.asarray(target_bits, dtype=np.int8)
-        leading = np.array([r.assignment[:ref.size] for r in reads])
-        hits = int(np.count_nonzero((leading == ref).all(axis=1)))
+    energies = np.fromiter((r.energy for r in reads), np.float64, len(reads))
+    hits = int(np.count_nonzero(energies_match(energies, ground_energy)))
     p = hits / len(reads)
     stderr = math.sqrt(p * (1.0 - p) / len(reads))
     return p, stderr

@@ -282,10 +282,10 @@ def _cmd_grid(args) -> int:
               "resources": run_resources}[args.command]
     for cell in runner(_experiment_config(args)):
         head = f"|S|={cell['num_states']} gamma={cell['gamma']}: "
-        if args.command == "k-heatmap":
-            print(f"{head}K={cell['minimal_k']} ({cell['status']})")
-        elif cell["status"] != "ok":
+        if cell["status"] != "ok":
             print(head + cell["status"])
+        elif args.command == "k-heatmap":
+            print(f"{head}K={cell['minimal_k']} (ok)")
         elif args.command == "tts-sweep":
             ns, est = cell["optimal"] or (None, None)
             print(f"{head}n_s*={ns} TTS*={est.value if est else math.nan:.6g}")

@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .dp import policy_count, value_iteration
-from .errors import InstanceTooLargeError
+from .errors import InstanceTooLargeError, NoTruncationError
 from .mdp import Mdp, PolicyAssignment, flat_index, policy_rows
 from .pseudoboolean import DROP_TOL, PseudoBooleanPolynomial, energies_match
 
@@ -266,7 +266,7 @@ def truncated_q_table(mdp: Mdp, policy: PolicyAssignment, order: int) -> np.ndar
     return next(islice(rollout, order, None)).reshape(mdp.num_states, mdp.num_actions)
 
 
-def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
+def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int:
     """Least K whose compiled ground state recovers the DP-optimal policy.
 
     Scores all |A|^|S| deterministic policies (lexicographic, state 0 most
@@ -281,11 +281,11 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
 
     A K qualifies when no other policy's energy matches the best's
     (``energies_match``), and the best's action at every state matches
-    value iteration's greedy policy; returns None when no K <= k_max
-    qualifies.  Just past a discount at which the optimal policy changes, the
-    least qualifying K rises sharply, because the ground state must resolve a
-    vanishing Q-gap between the two policies.  Raises ValueError when k_max
-    is below 1, and InstanceTooLargeError (``dp.policy_count``) past
+    value iteration's greedy policy.  Just past a discount at which the
+    optimal policy changes, the least qualifying K rises sharply, because the
+    ground state must resolve a vanishing Q-gap between the two policies.
+    Raises NoTruncationError when no K <= k_max qualifies, ValueError when
+    k_max is below 1, and InstanceTooLargeError (``dp.policy_count``) past
     ENUMERATION_LIMIT policies.
     """
     if k_max < 1:
@@ -302,4 +302,5 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int | None:
             continue
         if np.array_equal(actions[best], target):
             return k
-    return None
+    raise NoTruncationError(f"no truncation order <= {k_max} recovers the optimal policy "
+                            f"for |S|={mdp.num_states}, gamma={mdp.discount}")

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -44,16 +43,12 @@ class ExperimentConfig:
     num_sweeps: int = 20
     num_reads: int = 1000
     sweep_grid: tuple[int, ...] = (1, 2, 3, 5, 7, 10, 15, 20, 30, 50)
-    desired_probability: float = DESIRED_PROBABILITY
     seed: int = 0
     num_qlearning_seeds: int = 20
     qlearning_episodes: int = QLearningConfig.num_episodes
-    match_rule: str = "energy"
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.match_rule not in ("energy", "policy"):
-            raise ValueError("match_rule must be 'energy' or 'policy'")
         for name in ("sizes", "gammas", "sweep_grid", "out_dir"):
             if getattr(self, name) in ((), ""):
                 raise ValueError(f"{name} must not be empty")
@@ -62,9 +57,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if min(self.sweep_grid) < 1:
             raise ValueError(f"sweep_grid must hold counts >= 1, got {self.sweep_grid}")
-        if not 0.0 < self.desired_probability < 1.0:
-            raise ValueError(f"desired_probability must be in (0, 1), "
-                             f"got {self.desired_probability!r}")
+        if min(self.sizes) < 4:
+            raise ValueError(f"sizes must hold state counts >= 4, got {self.sizes}")
+        if not all(0.0 < g < 1.0 for g in self.gammas):
+            raise ValueError(f"gammas must hold discounts in (0, 1), got {self.gammas}")
 
     def as_dict(self, experiment: str) -> dict:
         """The fields, after the name of the ``experiment`` that ran them."""
@@ -101,16 +97,12 @@ def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance:
     """Pick K, compile, quadratize.
 
     K is ``config.truncation``, or the minimal order that recovers the
-    DP-optimal policy when that is None; NoTruncationError is raised when no
-    K <= ``config.k_max`` does.
+    DP-optimal policy when that is None (NoTruncationError when no
+    K <= ``config.k_max`` does).
     """
     k = config.truncation
     if k is None:
         k = minimal_truncation_order(mdp, k_max=config.k_max)
-        if k is None:
-            raise NoTruncationError(f"no truncation order <= {config.k_max} recovers the "
-                                    f"optimal policy for |S|={mdp.num_states}, "
-                                    f"gamma={mdp.discount}")
     ham = compile_hamiltonian(mdp, CompilerConfig(k, config.penalty_strength))
     qubo = quadratize(ham.polynomial, config.reduction_penalty)
     return Instance(mdp, k, ham, qubo)
@@ -199,12 +191,7 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
 
     schedule, reads, best = _anneal(inst, config)
     best_policy = inst.policy(best.assignment)
-    if config.match_rule == "energy":
-        p_s, p_err = success_probability(reads, ground)
-    elif len(minimizers) == 1:
-        p_s, p_err = success_probability(reads, ground, target_bits=minimizers[0])
-    else:
-        p_s, p_err = math.nan, math.nan
+    p_s, p_err = success_probability(reads, ground)
     record = {
         "experiment": "solve",
         "config": config.as_dict("solve"),
@@ -239,10 +226,10 @@ def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
 
 
 def run_k_heatmap(config: ExperimentConfig) -> list[dict]:
-    """Minimal truncation order per (|S|, gamma) cell."""
+    """Minimal truncation order per (|S|, gamma) cell; ``_cells`` marks a cell
+    with none ``no-truncation``."""
     def step(mdp: Mdp) -> dict:
-        k = minimal_truncation_order(mdp, k_max=config.k_max)
-        return {"minimal_k": k, "status": "ok" if k is not None else "not-found"}
+        return {"minimal_k": minimal_truncation_order(mdp, k_max=config.k_max), "status": "ok"}
 
     rows = _cells(config, step)
     for r in rows:
@@ -271,7 +258,7 @@ def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
             _, reads, _ = _anneal(inst, dataclasses.replace(config, num_sweeps=ns))
             p, err = success_probability(reads, ground)
             rows.append((ns, tts(p, float(ns * inst.qubo.num_variables),
-                                 config.desired_probability, err)))
+                                 DESIRED_PROBABILITY, err)))
         optimal = min((r for r in rows if r[1].is_finite), key=lambda r: r[1].value,
                       default=None)
         return {"truncation": inst.truncation, "variables": inst.qubo.num_variables,

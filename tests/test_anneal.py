@@ -390,12 +390,6 @@ class TestSuccessProbability:
         with pytest.raises(ValueError):
             success_probability([], 0.0)
 
-    def test_policy_match_rule(self):
-        reads = simulated_anneal(single_negative_variable(),
-                                 AnnealSchedule(1, 1e9, 1e9, num_reads=5, rng_seed=0))
-        p, _ = success_probability(reads, -1.0, target_bits=np.array([1], dtype=np.int8))
-        assert p == 1.0
-
 
 class TestTts:
     def test_fixed_point_at_desired_probability(self):

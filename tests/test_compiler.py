@@ -11,7 +11,7 @@ from mdpspin import compiler
 from mdpspin.compiler import (CompilerConfig, compile_hamiltonian, minimal_truncation_order,
                               truncated_q_table)
 from mdpspin.dp import policy_evaluation_exact, value_iteration
-from mdpspin.errors import InstanceTooLargeError
+from mdpspin.errors import InstanceTooLargeError, NoTruncationError
 from mdpspin.mdp import Mdp, PolicyAssignment, ValidationError, build_hallway, policy_rows
 from mdpspin.pseudoboolean import DROP_TOL, ENERGY_MATCH_TOL, all_assignment_energies
 from oracles import coupling_coefficient, dict_walk_sum, state_major_rollout
@@ -316,7 +316,8 @@ class TestMinimalTruncationOrder:
         assert minimal_truncation_order(build_hallway(4, 0.9)) == 2
 
     def test_none_when_cap_too_small(self):
-        assert minimal_truncation_order(build_hallway(6, 0.9), k_max=1) is None
+        with pytest.raises(NoTruncationError, match="no truncation order <= "):
+            minimal_truncation_order(build_hallway(6, 0.9), k_max=1)
 
     @pytest.mark.parametrize("k_max", [0, -3])
     def test_order_cap_below_one_rejected(self, k_max):
@@ -362,8 +363,11 @@ class TestMinimalTruncationOrder:
             mdp = dense_random_mdp(seed)
             q, greedy = value_iteration(mdp)
             runner_up, top = np.sort(q, axis=1)[:, -2:].T
-            k = minimal_truncation_order(mdp)
-            if k is None or not (top - runner_up > ENERGY_MATCH_TOL).all():
+            if not (top - runner_up > ENERGY_MATCH_TOL).all():
+                continue
+            try:
+                k = minimal_truncation_order(mdp)
+            except NoTruncationError:
                 continue
             rows = policy_rows(mdp.num_states, mdp.num_actions,
                                np.arange(mdp.num_actions ** mdp.num_states))
@@ -377,7 +381,8 @@ class TestMinimalTruncationOrder:
         # zero rewards: every feasible assignment is a ground state at every K
         mdp = build_hallway(5, 0.9)
         zero = Mdp(mdp.transition, np.zeros_like(mdp.reward), 0.9)
-        assert minimal_truncation_order(zero, k_max=3) is None
+        with pytest.raises(NoTruncationError, match="no truncation order <= "):
+            minimal_truncation_order(zero, k_max=3)
 
 
 def state_major_minimal_order(mdp, k_max):

@@ -3,13 +3,11 @@
 import dataclasses
 import json
 import math
-import os
 
-import numpy as np
 import pytest
 
 from mdpspin import compiler, experiments
-from mdpspin.anneal import AnnealSchedule, simulated_anneal
+from mdpspin.anneal import DESIRED_PROBABILITY, AnnealSchedule, simulated_anneal
 from mdpspin.cli import main, parse_config_file
 from mdpspin.compiler import CompilerConfig, minimal_truncation_order
 from mdpspin.dp import QLearningConfig
@@ -68,16 +66,6 @@ class TestRunSolve:
         assert record["exhaustive"]["interior"] == record["oracle"]["vi_interior"]
         assert record["exhaustive"]["agreement"] is False
 
-    def test_policy_match_rule_counts_at_least_the_energy_hits(self):
-        # a read that attains the ground energy projects onto the unique
-        # ground-state policy, so the policy rule can only count more reads
-        energy = run_solve(fast_config(truncation=3), 6, 0.99)
-        policy = run_solve(fast_config(truncation=3, match_rule="policy"), 6, 0.99)
-        assert energy["exhaustive"]["num_minimizers"] == 1
-        assert policy["config"]["match_rule"] == "policy"
-        assert (policy["sa"]["success_probability"]
-                >= energy["sa"]["success_probability"])
-
 
 def test_run_k_heatmap_written_and_ordered(tmp_path):
     config = fast_config(sizes=(5, 4), gammas=(0.9, 0.6), out_dir=str(tmp_path))
@@ -121,7 +109,7 @@ class TestRunTtsSweepRows:
                            config)
             rows, optimal = tts_sweep(
                 inst.qubo.polynomial, cell["ground_energy"], config.sweep_grid,
-                config.num_reads, config.desired_probability, config.seed)
+                config.num_reads, DESIRED_PROBABILITY, config.seed)
             assert [ns for ns, _ in cell["rows"]] == [ns for ns, _ in rows]
             for (_, est), (_, ref) in zip(cell["rows"], rows):
                 for got, want in zip(dataclasses.astuple(est), dataclasses.astuple(ref)):
@@ -161,6 +149,14 @@ def test_resources_prints_a_cell_with_no_truncation(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == "|S|=6 gamma=0.7: no-truncation\n"
     assert (tmp_path / "resources.csv").read_text().count("\n") == 1
+
+
+def test_k_heatmap_marks_a_cell_with_no_truncation(tmp_path, capsys):
+    # no K <= 2 recovers the optimal policy of hallway(6, 0.9), which needs K = 3
+    assert main(["k-heatmap", "--sizes", "6", "--gammas", "0.9", "--k-max", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "|S|=6 gamma=0.9: no-truncation\n"
+    assert (tmp_path / "k_heatmap.csv").read_text().splitlines()[1:] == ["6,0.9,,no-truncation"]
 
 
 def test_prepare_refuses_an_instance_with_no_qualifying_order():
@@ -260,10 +256,11 @@ class TestConfigFile:
         ("tts-sweep", "sweep_grid ="),
         ("k-heatmap", "out_dir ="),
         ("oracle-compare", "num_qlearning_seeds = 0"),
-        ("solve", "desired_probability = 1.5"),
         ("tts-sweep", "num_reads = 0"),
         ("solve", "num_sweeps = 0"),
         ("k-heatmap", "sweep_grid = 3, 0"),
+        ("tts-sweep", "gammas = 0.6, 1.5"),
+        pytest.param("k-heatmap", "sizes = 1, 4", id="k-heatmap-sizes-below-4"),
     ], ids=lambda v: v.split()[0] if "=" in v else v)
     def test_out_of_range_value_names_its_field(self, tmp_path, capsys, command, line):
         path = tmp_path / "bad.cfg"
@@ -278,6 +275,17 @@ class TestConfigFile:
         path.write_text("mystery = 3\n")
         with pytest.raises(ParseError):
             parse_config_file(str(path))
+
+    @pytest.mark.parametrize("line", ["match_rule = policy", "desired_probability = 0.9"],
+                             ids=lambda line: line.split()[0])
+    def test_removed_key_rejected(self, tmp_path, capsys, line):
+        # a read is a hit when it attains the ground energy, and p_d is 0.99
+        path = tmp_path / "old.cfg"
+        path.write_text(f"{line}\n")
+        assert main(["tts-sweep", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}:1: unknown key {line.split()[0]!r}\n"
 
     def test_experiment_key_rejected(self, tmp_path, capsys):
         # the subcommand names the experiment; a file cannot override it
@@ -520,6 +528,8 @@ class TestCli:
     @pytest.mark.parametrize("command, table, reason", [
         ("tts-sweep", "tts_sweep.csv", "34 variables exceed the exhaustive limit of 24"),
         ("resources", "resources.csv",
+         "131072 deterministic policies exceed the enumeration limit of 65536"),
+        ("k-heatmap", "k_heatmap.csv",
          "131072 deterministic policies exceed the enumeration limit of 65536")])
     def test_grid_survives_a_cell_too_large_for_the_k_search(self, tmp_path, capsys,
                                                              command, table, reason):
@@ -530,8 +540,11 @@ class TestCli:
             args += ["--num-reads", "20", "--sweep-grid", "1"]
         assert main(args) == 0
         rows = (tmp_path / table).read_text().splitlines()[1:]
-        assert rows and all(row.startswith("4,0.6,") for row in rows)
-        assert f"|S|=17 gamma=0.6: unavailable: {reason}" in capsys.readouterr().out
+        # only k_heatmap.csv has a status column, so only it keeps the cell
+        others = [row for row in rows if not row.startswith("4,0.6,")]
+        assert len(others) < len(rows)
+        assert others == ([f"17,0.6,,unavailable: {reason}"] if command == "k-heatmap" else [])
+        assert f"|S|=17 gamma=0.6: unavailable: {reason}\n" in capsys.readouterr().out
 
     def test_grid_marks_a_cell_too_large_for_the_exhaustive_ground_state(self, tmp_path,
                                                                          capsys):

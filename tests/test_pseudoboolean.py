@@ -1,6 +1,5 @@
 """Polynomial algebra tests, including the exhaustive-sweep properties."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,6 +11,7 @@ from mdpspin import pseudoboolean
 from mdpspin.anneal import SaRead, exhaustive_ground_state, success_probability
 from mdpspin.compiler import CompilerConfig, compile_hamiltonian, minimal_truncation_order
 from mdpspin.dp import best_policy_exhaustive
+from mdpspin.errors import NoTruncationError
 from mdpspin.experiments import ExperimentConfig, run_solve
 from mdpspin.mdp import build_hallway
 from mdpspin.pseudoboolean import (ENUMERATION_BLOCK, TERM_TABLE_ROWS, PseudoBooleanPolynomial,
@@ -383,7 +383,8 @@ class TestOneEqualEnergyRule:
         assert success_probability(reads, 0.0) == (1.0, 0.0)
 
     def test_k_search_runner_up_gap(self):
-        assert minimal_truncation_order(build_hallway(6, 0.9)) is None
+        with pytest.raises(NoTruncationError, match="no truncation order <= "):
+            minimal_truncation_order(build_hallway(6, 0.9))
 
     def test_policy_ties(self):
         _, _, ties = best_policy_exhaustive(build_hallway(4, 0.9))
