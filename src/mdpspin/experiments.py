@@ -61,6 +61,10 @@ class ExperimentConfig:
             raise ValueError(f"sizes must hold state counts >= 4, got {self.sizes}")
         if not all(0.0 < g < 1.0 for g in self.gammas):
             raise ValueError(f"gammas must hold discounts in (0, 1), got {self.gammas}")
+        for name in ("sizes", "gammas", "sweep_grid"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {values}")
 
     def as_dict(self, experiment: str) -> dict:
         """The fields, after the name of the ``experiment`` that ran them."""

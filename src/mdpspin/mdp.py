@@ -118,16 +118,20 @@ class PolicyAssignment:
             raise ValueError(
                 f"expected {self.num_states * self.num_actions} bits, got {bits.shape}"
             )
-        if not np.isin(bits, (0, 1)).all():
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("policy bits must be 0 or 1")
         self.bits = bits
 
     @classmethod
     def from_actions(cls, actions: Sequence[int], num_actions: int) -> "PolicyAssignment":
+        actions = np.asarray(actions, dtype=np.int64)
         n = len(actions)
+        outside = np.flatnonzero((actions < 0) | (actions >= num_actions))
+        if outside.size:
+            raise ValueError(f"state {outside[0]} has action {actions[outside[0]]} "
+                             f"outside [0, {num_actions})")
         bits = np.zeros(n * num_actions, dtype=np.int8)
-        for s, a in enumerate(actions):
-            bits[flat_index(s, int(a), num_actions)] = 1
+        bits[np.arange(n) * num_actions + actions] = 1
         return cls(bits, n, num_actions)
 
     def is_feasible(self) -> bool:

@@ -1,11 +1,7 @@
-"""Counted and closed-form resource metrics for compiled problems.
+"""Counted |V| and |J| of an exported QUBO, beside the published scaling fit.
 
-Logical variable and coefficient counts come from the deterministic
-quadratizer, so they track the O(|S x A| K) substitution scaling rather than
-any particular vendor reduction.  The closed-form entries are the published
-scaling fit and two gate-volume order-of-magnitude indicators for one
-depth-1 QAOA phase-separation layer; they are upper-bound indicators, not
-compiled gate counts.
+The counts come from the deterministic quadratizer, so they track the
+O(|S x A| K) substitution scaling rather than any particular vendor reduction.
 """
 
 from __future__ import annotations
@@ -24,25 +20,19 @@ class ResourceReport:
     logical_variables: int
     coefficient_count: int
     fit_value: float
-    qaoa_ancilla: float  # ancilla-assisted bound K * |S x A|
-    qaoa_worst_log2: float  # log2 of the no-ancilla bound 2^(K * |S x A|^K)
 
 
 def count_resources(qubo: QuboProblem, *, truncation: int, discount: float,
                     num_states: int, num_actions: int) -> ResourceReport:
-    """Count used variables and nonzero terms, and fill the closed forms of the
-    instance (K, gamma, |S|, |A|): the scaling fit and the gate-volume
-    indicators."""
+    """Count used variables and nonzero terms, and fill the scaling fit of the
+    instance (K, gamma, |S|, |A|)."""
     used = {v for mono in qubo.polynomial.terms for v in mono}
-    pairs = num_states * num_actions
     return ResourceReport(
         truncation=truncation,
         base_variables=qubo.registry.base_count,
         logical_variables=len(used),
         coefficient_count=sum(1 for m in qubo.polynomial.terms if m),
         fit_value=scaling_fit(num_states, num_actions, truncation, discount),
-        qaoa_ancilla=float(truncation * pairs),
-        qaoa_worst_log2=float(truncation * pairs ** truncation),
     )
 
 

@@ -261,6 +261,9 @@ class TestConfigFile:
         ("k-heatmap", "sweep_grid = 3, 0"),
         ("tts-sweep", "gammas = 0.6, 1.5"),
         pytest.param("k-heatmap", "sizes = 1, 4", id="k-heatmap-sizes-below-4"),
+        pytest.param("k-heatmap", "sizes = 4, 4", id="k-heatmap-sizes-repeated"),
+        pytest.param("k-heatmap", "gammas = 0.6, 0.6", id="k-heatmap-gammas-repeated"),
+        pytest.param("tts-sweep", "sweep_grid = 2, 2", id="tts-sweep-sweep_grid-repeated"),
     ], ids=lambda v: v.split()[0] if "=" in v else v)
     def test_out_of_range_value_names_its_field(self, tmp_path, capsys, command, line):
         path = tmp_path / "bad.cfg"

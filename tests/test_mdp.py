@@ -132,6 +132,13 @@ class TestPolicyAssignment:
         assert list(pol.actions()) == [0, 1, 0]
         assert list(pol.interior_actions()) == [1]
 
+    @pytest.mark.parametrize("actions, state", [([2, 0], 0), ([1, -1], 1)],
+                             ids=["above-range", "negative"])
+    def test_from_actions_rejects_action_outside_range(self, actions, state):
+        # an out-of-range action would set a bit of the next or previous state
+        with pytest.raises(ValueError, match=f"^state {state} has action "):
+            PolicyAssignment.from_actions(actions, 2)
+
     def test_infeasible_detection(self):
         pol = PolicyAssignment(np.array([1, 1, 0, 0, 0, 1], dtype=np.int8), 3, 2)
         assert not pol.is_feasible()

@@ -1,4 +1,6 @@
-"""Resource-metric tests: counts, the scaling fit, gate-volume indicators."""
+"""Resource-metric tests: counts, the scaling fit and the report's fields."""
+
+import dataclasses
 
 import pytest
 
@@ -6,7 +8,7 @@ from mdpspin.compiler import CompilerConfig, compile_hamiltonian
 from mdpspin.mdp import build_hallway
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial
 from mdpspin.quadratize import quadratize
-from mdpspin.resources import count_resources, scaling_fit
+from mdpspin.resources import ResourceReport, count_resources, scaling_fit
 
 
 def test_count_small_quadratic():
@@ -30,7 +32,11 @@ def test_counts_include_ancillas_and_context_fields():
     assert report.logical_variables == 12 + qubo.registry.num_ancillas
     assert report.coefficient_count == sum(1 for m in qubo.polynomial.terms if m)
     assert report.fit_value == pytest.approx(scaling_fit(6, 2, 3, 0.9))
-    assert report.qaoa_ancilla == 3 * 12
+
+
+def test_report_fields_are_the_counted_columns():
+    assert [f.name for f in dataclasses.fields(ResourceReport)] == [
+        "truncation", "base_variables", "logical_variables", "coefficient_count", "fit_value"]
 
 
 def test_scaling_fit_published_point():
@@ -48,24 +54,13 @@ def test_scaling_fit_linearities():
 
 
 def _report(num_states, num_actions, truncation):
-    """The report of a fixed small QUBO; the indicators read only the sizes."""
+    """The report of a fixed small QUBO; the scaling fit reads only the sizes."""
     poly = PseudoBooleanPolynomial(2).add_term([0, 1], 1.0)
     return count_resources(quadratize(poly, 5.0), truncation=truncation, discount=0.9,
                            num_states=num_states, num_actions=num_actions)
 
 
-class TestGateVolume:
-    def test_ancilla_indicator(self):
-        assert _report(6, 2, 3).qaoa_ancilla == 36
-
-    def test_worst_indicator_small(self):
-        # 2^(K * |S x A|^K) = 2^(1 * 2^1) = 4
-        assert _report(2, 1, 1).qaoa_worst_log2 == 2.0
-
-    def test_worst_indicator_is_kept_as_its_logarithm(self):
-        # 2^(3 * 12^3) is past float64, its log2 is not
-        assert _report(6, 2, 3).qaoa_worst_log2 == pytest.approx(3 * 12 ** 3)
-
+class TestScalingFit:
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             _report(6, 2, 0)
