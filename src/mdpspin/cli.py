@@ -16,7 +16,6 @@ import math
 import sys
 import typing
 
-from .anneal import success_probability
 from .compiler import CompilerConfig, compile_hamiltonian
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import InstanceTooLargeError
@@ -125,11 +124,9 @@ def _cmd_anneal(args) -> int:
         missing = "--beta-start" if args.beta_start is None else "--beta-end"
         raise ValueError(f"{missing} is missing: give both beta flags or neither")
     config = _experiment_config(args)
-    inst = _prepare_exhaustive(_load_instance(args), config)
-    _, ground = inst.ground()
+    inst, _, ground = _prepare_exhaustive(_load_instance(args), config)
     betas = None if args.beta_start is None else (args.beta_start, args.beta_end)
-    schedule, reads, _ = _anneal(inst, config, betas)
-    p_s, p_err = success_probability(reads, ground)
+    schedule, reads, _, p_s, p_err = _anneal(inst, ground, config, betas)
     lines = ["read,energy,feasible,consistent,policy_bits"]
     for i, read in enumerate(reads):
         pol = inst.policy(read.assignment)
@@ -273,7 +270,7 @@ def _cmd_single(args) -> int:
     config = _experiment_config(args)
     runner = run_solve if args.command == "solve" else run_oracle_compare
     record = runner(config, args.num_states, args.gamma)
-    print(json.dumps(record, indent=1, default=str))
+    print(json.dumps(record, indent=1))
     return 0
 
 

@@ -90,12 +90,6 @@ class Instance:
         return PolicyAssignment(project(assignment, self.qubo.registry),
                                 self.mdp.num_states, self.mdp.num_actions)
 
-    def ground(self) -> tuple[list, float]:
-        """Minimizers and minimum of the unreduced polynomial, the minimum being
-        the QUBO's ground energy on the rule that the reduction keeps it; at
-        ``M_OR=5`` that is false on ``hallway(10, 0.9)`` K=5 (SA reads fall below)."""
-        return exhaustive_ground_state(self.ham.polynomial)
-
 
 def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance:
     """Pick K, compile, quadratize.
@@ -112,21 +106,23 @@ def prepare(mdp: Mdp, config: ExperimentConfig) -> Instance:
     return Instance(mdp, k, ham, qubo)
 
 
-def _prepare_exhaustive(mdp: Mdp, config: ExperimentConfig) -> Instance:
-    """``prepare`` for the runners that take the exhaustive ground state, after
-    refusing an MDP whose |S||A| variables are past that state's limit."""
+def _prepare_exhaustive(mdp: Mdp, config: ExperimentConfig) -> tuple[Instance, list, float]:
+    """``prepare`` past the exhaustive limit's refusal, with the minimizers and
+    minimum of the unreduced polynomial: the QUBO's ground energy on the rule that
+    the reduction keeps it, false at ``M_OR=5`` on ``hallway(10, 0.9)`` K=5."""
     check_exhaustive_size(mdp.num_pairs)
-    return prepare(mdp, config)
+    inst = prepare(mdp, config)
+    return (inst, *exhaustive_ground_state(inst.ham.polynomial))
 
 
 def _cells(config: ExperimentConfig, step: Callable[[Mdp], dict]) -> list[dict]:
-    """One dict per grid hallway in instance-key order: its size and discount,
-    then ``step(mdp)``'s fields, or a ``status`` of ``no-truncation`` or, past
-    a size limit of the step, ``unavailable: <reason>``."""
+    """One dict per grid hallway in instance-key order: its size, discount and
+    ``status``, then ``step(mdp)``'s fields.  The status is ``ok``, or
+    ``no-truncation`` or, past a size limit of the step, ``unavailable: <reason>``."""
     cells = []
     for size in sorted(config.sizes):
         for gamma in sorted(config.gammas):
-            cell: dict = {"num_states": size, "gamma": gamma}
+            cell: dict = {"num_states": size, "gamma": gamma, "status": "ok"}
             try:
                 cell.update(step(build_hallway(size, gamma, config.slip)))
             except InstanceTooLargeError as e:
@@ -137,16 +133,18 @@ def _cells(config: ExperimentConfig, step: Callable[[Mdp], dict]) -> list[dict]:
     return cells
 
 
-def _anneal(inst: Instance, config: ExperimentConfig,
+def _anneal(inst: Instance, ground: float, config: ExperimentConfig,
             betas: tuple[float, float] | None = None
-            ) -> tuple[AnnealSchedule, list[SaRead], SaRead]:
-    """SA on the QUBO: schedule, reads and lowest-energy read.  ``betas`` is the
+            ) -> tuple[AnnealSchedule, list[SaRead], SaRead, float, float]:
+    """SA on the QUBO: schedule, reads, lowest-energy read, and the share of
+    reads attaining ``ground`` with its standard error.  ``betas`` is the
     (start, end) ramp; the QUBO's ``default_beta_range`` when None."""
     beta0, beta1 = betas or default_beta_range(inst.qubo.polynomial)
     schedule = AnnealSchedule(config.num_sweeps, beta0, beta1,
                               num_reads=config.num_reads, rng_seed=config.seed)
     reads = simulated_anneal(inst.qubo.polynomial, schedule)
-    return schedule, reads, min(reads, key=lambda r: r.energy)
+    return (schedule, reads, min(reads, key=lambda r: r.energy),
+            *success_probability(reads, ground))
 
 
 def _write(out_dir: str | None, filename: str, text: str) -> str | None:
@@ -180,22 +178,20 @@ def _write_tables(config: ExperimentConfig, experiment: str,
 def run_solve(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
     """compile -> quadratize -> (exhaustive + SA) -> project -> DP comparison.
 
-    Exhaustive search runs on the unreduced polynomial (``Instance.ground``).
+    Exhaustive search runs on the unreduced polynomial (``_prepare_exhaustive``).
     Agreement requires every exhaustive minimizer to be value iteration's
     greedy policy: feasible, with the same action at every state.  The
     ``interior`` fields show states 1..|S|-2 only.
     """
-    inst = _prepare_exhaustive(build_hallway(num_states, gamma, config.slip), config)
+    inst, minimizers, ground = _prepare_exhaustive(
+        build_hallway(num_states, gamma, config.slip), config)
     mdp, k, ham, qubo = inst.mdp, inst.truncation, inst.ham, inst.qubo
     _, greedy = value_iteration(mdp)
     vi_interior = _interior(greedy)
-
-    minimizers, ground = inst.ground()
     policies = [PolicyAssignment(m, num_states, mdp.num_actions) for m in minimizers]
 
-    schedule, reads, best = _anneal(inst, config)
+    schedule, _, best, p_s, p_err = _anneal(inst, ground, config)
     best_policy = inst.policy(best.assignment)
-    p_s, p_err = success_probability(reads, ground)
     record = {
         "experiment": "solve",
         "config": config.as_dict("solve"),
@@ -233,7 +229,7 @@ def run_k_heatmap(config: ExperimentConfig) -> list[dict]:
     """Minimal truncation order per (|S|, gamma) cell; ``_cells`` marks a cell
     with none ``no-truncation``."""
     def step(mdp: Mdp) -> dict:
-        return {"minimal_k": minimal_truncation_order(mdp, k_max=config.k_max), "status": "ok"}
+        return {"minimal_k": minimal_truncation_order(mdp, k_max=config.k_max)}
 
     rows = _cells(config, step)
     for r in rows:
@@ -249,24 +245,24 @@ def run_tts_sweep(config: ExperimentConfig) -> list[dict]:
     """Sweep-count scan per instance: ``rows`` of (sweeps, TTS estimate) and the
     ``optimal`` row, the first least finite TTS in grid order (None without one).
 
-    Each sweep count anneals through ``_anneal``, and its effort is sweeps
-    times the QUBO's variables.  A cell with no qualifying K is marked
-    ``no-truncation``, one too large for the K search or the exhaustive ground
-    state ``unavailable: <reason>``; neither gets TTS rows.
+    Each sweep count anneals through ``_anneal`` on the cell's one
+    ``default_beta_range``, and its effort is sweeps times the QUBO's
+    variables.  A cell with no qualifying K is marked ``no-truncation``, one
+    too large for the K search or the exhaustive ground state
+    ``unavailable: <reason>``; neither gets TTS rows.
     """
     def step(mdp: Mdp) -> dict:
-        inst = _prepare_exhaustive(mdp, config)
-        ground = inst.ground()[1]
+        inst, _, ground = _prepare_exhaustive(mdp, config)
+        betas = default_beta_range(inst.qubo.polynomial)
         rows = []
         for ns in config.sweep_grid:
-            _, reads, _ = _anneal(inst, dataclasses.replace(config, num_sweeps=ns))
-            p, err = success_probability(reads, ground)
+            *_, p, err = _anneal(inst, ground, dataclasses.replace(config, num_sweeps=ns), betas)
             rows.append((ns, tts(p, float(ns * inst.qubo.num_variables),
                                  DESIRED_PROBABILITY, err)))
         optimal = min((r for r in rows if r[1].is_finite), key=lambda r: r[1].value,
                       default=None)
         return {"truncation": inst.truncation, "variables": inst.qubo.num_variables,
-                "ground_energy": ground, "rows": rows, "optimal": optimal, "status": "ok"}
+                "ground_energy": ground, "rows": rows, "optimal": optimal}
 
     out = _cells(config, step)
     rows = [[i["num_states"], i["gamma"], i["truncation"], i["variables"], ns,
@@ -296,8 +292,7 @@ def run_resources(config: ExperimentConfig) -> list[dict]:
         inst = prepare(mdp, config)
         return {"report": count_resources(inst.qubo, truncation=inst.truncation,
                                           discount=mdp.discount, num_states=mdp.num_states,
-                                          num_actions=mdp.num_actions),
-                "status": "ok"}
+                                          num_actions=mdp.num_actions)}
 
     out = _cells(config, step)
     _write_tables(config, "resources", {"resources.csv": (
@@ -309,14 +304,14 @@ def run_resources(config: ExperimentConfig) -> list[dict]:
 
 def run_oracle_compare(config: ExperimentConfig, num_states: int, gamma: float) -> dict:
     """Pairwise interior-policy agreement across every solver family."""
-    inst = _prepare_exhaustive(build_hallway(num_states, gamma, config.slip), config)
+    inst, minimizers, ground = _prepare_exhaustive(
+        build_hallway(num_states, gamma, config.slip), config)
     mdp = inst.mdp
-    minimizers, ground = inst.ground()
     _, greedy = value_iteration(mdp)
     vi = _interior(greedy)
     best_pol, _, _ = best_policy_exhaustive(mdp)
     exhaustive_dp = _interior(best_pol)
-    _, _, best = _anneal(inst, config)
+    _, _, best, _, _ = _anneal(inst, ground, config)
 
     terminals = terminal_states(mdp)
     q_hits = 0

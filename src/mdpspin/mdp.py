@@ -113,25 +113,27 @@ class PolicyAssignment:
     num_actions: int
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int8)
+        bits = np.asarray(self.bits)
         if bits.shape != (self.num_states * self.num_actions,):
             raise ValueError(
                 f"expected {self.num_states * self.num_actions} bits, got {bits.shape}"
             )
+        # checked before the cast, which would wrap 256 to 0 and truncate 0.5 to 0
         if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("policy bits must be 0 or 1")
-        self.bits = bits
+        self.bits = bits.astype(np.int8, copy=False)
 
     @classmethod
     def from_actions(cls, actions: Sequence[int], num_actions: int) -> "PolicyAssignment":
-        actions = np.asarray(actions, dtype=np.int64)
+        actions = np.asarray(actions)
         n = len(actions)
-        outside = np.flatnonzero((actions < 0) | (actions >= num_actions))
-        if outside.size:
-            raise ValueError(f"state {outside[0]} has action {actions[outside[0]]} "
-                             f"outside [0, {num_actions})")
+        bad = np.flatnonzero(~((actions >= 0) & (actions < num_actions)
+                               & (actions == np.floor(actions))))
+        if bad.size:
+            raise ValueError(f"state {bad[0]} has action {actions[bad[0]]}, not an integer "
+                             f"in [0, {num_actions})")
         bits = np.zeros(n * num_actions, dtype=np.int8)
-        bits[np.arange(n) * num_actions + actions] = 1
+        bits[np.arange(n) * num_actions + actions.astype(np.int64, copy=False)] = 1
         return cls(bits, n, num_actions)
 
     def is_feasible(self) -> bool:

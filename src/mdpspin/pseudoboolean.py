@@ -30,6 +30,7 @@ Monomial = tuple[int, ...]
 DROP_TOL = 1e-12
 ENERGY_MATCH_TOL = 1e-9  # energies this close are equal: ties, gaps and hits
 ENUMERATION_BLOCK = 128  # low-half assignments per block of the weight table
+ENUMERATION_MAX_VARIABLES = 26  # 2^26 float64 energies are 512 MiB; check c06 enumerates 25
 ENERGY_BLOCK = 128  # high-half assignments per block of the energy product
 TERM_TABLE_ROWS = 512  # rows per block of ``TermTable.energies``
 
@@ -232,7 +233,7 @@ def _energy_tables(poly: PseudoBooleanPolynomial,
     block over the whole low half gives.
     """
     n = variable_count(poly, num_variables)
-    if n > 26:
+    if n > ENUMERATION_MAX_VARIABLES:
         raise InstanceTooLargeError(f"{n} variables is too many for dense enumeration")
     table = TermTable(poly, n)
     lo, hi = np.split(table.incidence, [n // 2])
@@ -281,7 +282,7 @@ def all_assignment_energies(poly: PseudoBooleanPolynomial,
 
     The tables of ``_energy_tables`` are built first; then the 2^n output is
     allocated and ``_energy_blocks`` writes each block's product into it.
-    Intended for n up to ~26 (the full float64 energy vector is returned).
+    Refuses n past ``ENUMERATION_MAX_VARIABLES``: the whole float64 vector is returned.
     """
     on, weights = _energy_tables(poly, num_variables)
     energies = np.empty((on.shape[0], weights.shape[0]))

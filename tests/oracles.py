@@ -291,8 +291,9 @@ def tts_sweep(poly: PseudoBooleanPolynomial, ground_energy: float,
     """(sweeps, TTS estimate) rows and the first least finite one, annealing
     the polynomial itself with effort n_s * N, N being its ``num_variables``.
 
-    It takes the beta range once and builds each schedule directly, where the
-    runner anneals each sweep count through ``_anneal``.
+    It builds each schedule and scores its reads directly, where the runner
+    anneals and scores each sweep count through ``_anneal``; both take the
+    beta range once.
     """
     n = poly.num_variables
     b0, b1 = default_beta_range(poly)

@@ -139,6 +139,11 @@ class TestPolicyAssignment:
         with pytest.raises(ValueError, match=f"^state {state} has action "):
             PolicyAssignment.from_actions(actions, 2)
 
+    def test_from_actions_rejects_a_fractional_action(self):
+        # truncating 0.7 and 1.9 would give the policy [0, 1]
+        with pytest.raises(ValueError, match="^state 0 has action 0.7, not an integer"):
+            PolicyAssignment.from_actions([0.7, 1.9], 2)
+
     def test_infeasible_detection(self):
         pol = PolicyAssignment(np.array([1, 1, 0, 0, 0, 1], dtype=np.int8), 3, 2)
         assert not pol.is_feasible()
@@ -146,8 +151,10 @@ class TestPolicyAssignment:
             pol.actions()
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            PolicyAssignment(np.array([2, 0]), 1, 2)
+        # an int8 cast would wrap 256 to 0 and truncate 0.5 to 0
+        for bits in ([2, 0], [256, 1], [0.5, 1.0]):
+            with pytest.raises(ValueError, match="^policy bits must be 0 or 1$"):
+                PolicyAssignment(np.array(bits), 1, 2)
 
     def test_enumeration_counts(self):
         rows = policy_rows(6, 2, np.arange(64))

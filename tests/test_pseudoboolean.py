@@ -11,7 +11,7 @@ from mdpspin import pseudoboolean
 from mdpspin.anneal import SaRead, exhaustive_ground_state, success_probability
 from mdpspin.compiler import CompilerConfig, compile_hamiltonian, minimal_truncation_order
 from mdpspin.dp import best_policy_exhaustive
-from mdpspin.errors import NoTruncationError
+from mdpspin.errors import InstanceTooLargeError, NoTruncationError
 from mdpspin.experiments import ExperimentConfig, run_solve
 from mdpspin.mdp import build_hallway
 from mdpspin.pseudoboolean import (ENUMERATION_BLOCK, TERM_TABLE_ROWS, PseudoBooleanPolynomial,
@@ -287,6 +287,17 @@ def random_polynomial(n, rng, num_terms=60, variables=None):
         size = min(int(rng.integers(0, 6)), variables.size)
         poly.add_term(rng.choice(variables, size=size, replace=False), rng.normal())
     return poly
+
+
+def test_dense_enumeration_refuses_past_its_limit_before_building_a_table(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("built a term table past the dense-enumeration limit")
+
+    monkeypatch.setattr(pseudoboolean, "TermTable", fail)
+    n = pseudoboolean.ENUMERATION_MAX_VARIABLES + 1
+    with pytest.raises(InstanceTooLargeError,
+                       match=f"^{n} variables is too many for dense enumeration$"):
+        all_assignment_energies(PseudoBooleanPolynomial(n), n)
 
 
 @pytest.mark.parametrize("n", range(1, 23))
