@@ -1,5 +1,7 @@
 """Tests for the tabular model, the hallway builder, and serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,17 +134,14 @@ class TestPolicyAssignment:
         assert list(pol.actions()) == [0, 1, 0]
         assert list(pol.interior_actions()) == [1]
 
-    @pytest.mark.parametrize("actions, state", [([2, 0], 0), ([1, -1], 1)],
-                             ids=["above-range", "negative"])
+    @pytest.mark.parametrize("actions, state", [([2, 0], 0), ([1, -1], 1), ([0.7, 1.9], 0)],
+                             ids=["above-range", "negative", "fractional"])
     def test_from_actions_rejects_action_outside_range(self, actions, state):
-        # an out-of-range action would set a bit of the next or previous state
-        with pytest.raises(ValueError, match=f"^state {state} has action "):
+        # an out-of-range action would set a bit of the next or previous state,
+        # and truncating 0.7 and 1.9 would give the policy [0, 1]
+        message = f"state {state} has action {actions[state]}, not an integer in [0, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PolicyAssignment.from_actions(actions, 2)
-
-    def test_from_actions_rejects_a_fractional_action(self):
-        # truncating 0.7 and 1.9 would give the policy [0, 1]
-        with pytest.raises(ValueError, match="^state 0 has action 0.7, not an integer"):
-            PolicyAssignment.from_actions([0.7, 1.9], 2)
 
     def test_infeasible_detection(self):
         pol = PolicyAssignment(np.array([1, 1, 0, 0, 0, 1], dtype=np.int8), 3, 2)
