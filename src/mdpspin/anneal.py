@@ -1,26 +1,23 @@
-"""Ground-state solvers and time-to-solution estimation.
+"""Simulated annealing and time-to-solution estimation.
 
-Exhaustive search and the Metropolis annealer both read a polynomial of any
-degree through its ``TermTable``: the search scans every assignment a block
-at a time, each block a product between two halves' term activities, and
-holds no 2^n energy vector.  The annealer advances all reads in lockstep
-and splits each variable's field in two: the degree-1 and degree-2 terms
-give one product of a dense coupling matrix with the state, and only the
-terms of degree 3 or more keep a per-read count of their zero variables.
-A sweep updates one dependency level of variables per numpy
-step.  The levels come from a plan built once per call: variables that share
-a term of any degree are neighbours, and a variable's level is one more than
-the highest level among its earlier-index neighbours.  A level's variables
-thus share no term and see every earlier neighbour already updated, so the
-level sweep is the index-order sweep, read for read.  The state holds the
-variables in level order, so that a level is a slice of it.  A move is
-accepted when ``u < exp(field * (x * 2 beta - beta))``, one exponent per
-level: for x in {0, 1}, ``x * 2 beta - beta`` is exactly ``-beta * (1 - 2x)``
-and the flip energy is ``delta = field * (1 - 2x)``, so where delta > 0 the
-exponent is ``-beta * delta`` to the bit, and where delta <= 0 it is >= 0 and
-exp gives at least 1 > u.  That is the Metropolis rule
-``u < exp(-beta * max(delta, 0))`` for every finite beta.  Time to solution
-follows the standard repeated-trial formula
+The Metropolis annealer reads a polynomial of any degree through its
+``TermTable``.  It advances all reads in lockstep and splits each variable's
+field in two: the degree-1 and degree-2 terms give one product of a dense
+coupling matrix with the state, and only the terms of degree 3 or more keep
+a per-read count of their zero variables.  A sweep updates one dependency
+level of variables per numpy step.  The levels come from a plan built once
+per call: variables that share a term of any degree are neighbours, and a
+variable's level is one more than the highest level among its earlier-index
+neighbours.  A level's variables thus share no term and see every earlier
+neighbour already updated, so the level sweep is the index-order sweep, read
+for read.  The state holds the variables in level order, so that a level is
+a slice of it.  A move is accepted when ``u < exp(field * (x * 2 beta - beta))``,
+one exponent per level: for x in {0, 1}, ``x * 2 beta - beta`` is exactly
+``-beta * (1 - 2x)`` and the flip energy is ``delta = field * (1 - 2x)``, so
+where delta > 0 the exponent is ``-beta * delta`` to the bit, and where
+delta <= 0 it is >= 0 and exp gives at least 1 > u.  That is the Metropolis
+rule ``u < exp(-beta * max(delta, 0))`` for every finite beta.
+Time to solution follows the standard repeated-trial formula
 
     TTS(t) = t * ln(1 - p_d) / ln(1 - p_s)
 
@@ -37,13 +34,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InstanceTooLargeError
-from .pseudoboolean import (PseudoBooleanPolynomial, TermTable, _energy_blocks, _energy_tables,
-                           bit_rows, energies_match)
+from .pseudoboolean import PseudoBooleanPolynomial, TermTable, energies_match
 
 DESIRED_PROBABILITY = 0.99  # the p_d of TTS99
-EXHAUSTIVE_MAX_VARIABLES = 24
-EXHAUSTIVE_MAX_MINIMIZERS = 65536
 
 
 @dataclass(frozen=True)
@@ -210,47 +203,6 @@ def simulated_anneal(poly: PseudoBooleanPolynomial, schedule: AnnealSchedule,
                 np.logical_xor(xl, flip, out=xl, casting="unsafe")
     state = np.ascontiguousarray(x[rank].T, dtype=np.int8)
     return list(map(tuple.__new__, repeat(SaRead), zip(state, table.energies(state).tolist())))
-
-
-def check_exhaustive_size(num_variables: int) -> None:
-    """Refuse ``num_variables`` past ``EXHAUSTIVE_MAX_VARIABLES``, the limit of
-    ``exhaustive_ground_state``; runners call it before they spend on a
-    polynomial whose ground state they could not take."""
-    if num_variables > EXHAUSTIVE_MAX_VARIABLES:
-        raise InstanceTooLargeError(
-            f"{num_variables} variables exceed the exhaustive limit of {EXHAUSTIVE_MAX_VARIABLES}"
-        )
-
-
-def exhaustive_ground_state(poly: PseudoBooleanPolynomial
-                            ) -> tuple[list[np.ndarray], float]:
-    """All global minimizers (within ENERGY_MATCH_TOL of the minimum) by full
-    enumeration of the polynomial's ``num_variables`` variables.
-
-    The energies come a block at a time, into one reused block buffer.  Each
-    block keeps the assignments that match its own minimum; the kept ones are
-    then matched against the global minimum, and counted against
-    ``EXHAUSTIVE_MAX_MINIMIZERS`` before any of them is gathered.  That loses
-    no minimizer: no block minimum is below the global one, and a rounded
-    subtraction is monotone, so an energy that matches the global minimum
-    matches its block's.
-    """
-    n = poly.num_variables
-    check_exhaustive_size(n)
-    on, weights = _energy_tables(poly, n)
-    kept = []  # each block's (indices, energies) that match the block's minimum
-    for first, energies in _energy_blocks(on, weights):
-        idx = np.flatnonzero(energies_match(energies, energies.min()))
-        kept.append((first + idx, energies[idx]))
-    best = float(min(energies.min() for _, energies in kept))
-    matched = [energies_match(energies, best) for _, energies in kept]
-    count = sum(map(np.count_nonzero, matched))
-    if count > EXHAUSTIVE_MAX_MINIMIZERS:
-        raise InstanceTooLargeError(
-            f"{count} degenerate minimizers; refusing to materialize them"
-        )
-    idx = np.concatenate([kept_idx[m] for (kept_idx, _), m in zip(kept, matched)])
-    return list(bit_rows(idx, n)), best
 
 
 def success_probability(reads: Sequence[SaRead], ground_energy: float) -> tuple[float, float]:

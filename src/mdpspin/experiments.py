@@ -17,15 +17,14 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
-from .anneal import (DESIRED_PROBABILITY, AnnealSchedule, SaRead, check_exhaustive_size,
-                     default_beta_range, exhaustive_ground_state, simulated_anneal,
-                     success_probability, tts)
+from .anneal import (DESIRED_PROBABILITY, AnnealSchedule, SaRead, default_beta_range,
+                     simulated_anneal, success_probability, tts)
 from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
                        minimal_truncation_order)
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import InstanceTooLargeError, NoTruncationError
 from .mdp import HALLWAY_SLIP, Mdp, PolicyAssignment, build_hallway, terminal_states
-from .pseudoboolean import energies_match
+from .pseudoboolean import check_exhaustive_size, energies_match, exhaustive_ground_state
 from .quadratize import (REDUCTION_PENALTY, QuboProblem, consistency_violations, project,
                          quadratize)
 from .resources import ResourceReport, count_resources

@@ -19,7 +19,7 @@ temporary of the 2^n energies' size is held beside them, and
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -31,6 +31,8 @@ DROP_TOL = 1e-12
 ENERGY_MATCH_TOL = 1e-9  # energies this close are equal: ties, gaps and hits
 ENUMERATION_BLOCK = 128  # low-half assignments per block of the weight table
 ENUMERATION_MAX_VARIABLES = 26  # 2^26 float64 energies are 512 MiB; check c06 enumerates 25
+EXHAUSTIVE_MAX_VARIABLES = 24  # the limit of ``exhaustive_ground_state``
+EXHAUSTIVE_MAX_MINIMIZERS = 65536  # minimizers it returns as bit rows
 ENERGY_BLOCK = 128  # high-half assignments per block of the energy product
 TERM_TABLE_ROWS = 512  # rows per block of ``TermTable.energies``
 
@@ -254,38 +256,65 @@ def _energy_tables(poly: PseudoBooleanPolynomial,
     return _half_on(keys & place[:, None] != 0), weights
 
 
-def _energy_blocks(on: np.ndarray, weights: np.ndarray,
-                   out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(first, energies)`` for each block of ``ENERGY_BLOCK`` high-half
-    assignments: the index of the block's first assignment and the energies of
-    its assignments in index order, the float64 product of the block's rows of
-    ``on`` with ``weights.T``.
-
-    The product is written into whole C-contiguous rows of ``out``, a
-    (2^(n - n // 2), 2^(n // 2)) float64 array that then holds all 2^n
-    energies; without ``out``, into one block-sized buffer that every block
-    reuses.  The block's float64 copy of its ``on`` rows is the only other
-    temporary.
-    """
-    if out is None:
-        out = np.empty((min(ENERGY_BLOCK, on.shape[0]), weights.shape[0]))
-    for first in range(0, on.shape[0], ENERGY_BLOCK):
-        block = on[first:first + ENERGY_BLOCK]
-        at = first % out.shape[0]  # 0 in a one-block buffer
-        rows = np.matmul(block, weights.T, out=out[at:at + block.shape[0]])
-        yield first * weights.shape[0], rows.reshape(-1)
-
-
 def all_assignment_energies(poly: PseudoBooleanPolynomial,
                             num_variables: int) -> np.ndarray:
     """Energies of all 2^n assignments, assignment i having x_v = bit v of i.
 
     The tables of ``_energy_tables`` are built first; then the 2^n output is
-    allocated and ``_energy_blocks`` writes each block's product into it.
-    Refuses n past ``ENUMERATION_MAX_VARIABLES``: the whole float64 vector is returned.
+    allocated as (high-half, low-half) rows, and each block of
+    ``ENERGY_BLOCK`` high-half assignments writes its product with
+    ``weights.T`` into its own rows.  The block's float64 copy of its ``on``
+    rows is the only other temporary.  Refuses n past
+    ``ENUMERATION_MAX_VARIABLES``: the whole float64 vector is returned.
     """
     on, weights = _energy_tables(poly, num_variables)
     energies = np.empty((on.shape[0], weights.shape[0]))
-    for _ in _energy_blocks(on, weights, energies):
-        pass
+    for first in range(0, on.shape[0], ENERGY_BLOCK):
+        rows = slice(first, first + ENERGY_BLOCK)
+        np.matmul(on[rows], weights.T, out=energies[rows])
     return energies.reshape(-1)
+
+
+def check_exhaustive_size(num_variables: int) -> None:
+    """Refuse ``num_variables`` past ``EXHAUSTIVE_MAX_VARIABLES``, the limit of
+    ``exhaustive_ground_state``; runners call it before they spend on a
+    polynomial whose ground state they could not take."""
+    if num_variables > EXHAUSTIVE_MAX_VARIABLES:
+        raise InstanceTooLargeError(
+            f"{num_variables} variables exceed the exhaustive limit of {EXHAUSTIVE_MAX_VARIABLES}"
+        )
+
+
+def exhaustive_ground_state(poly: PseudoBooleanPolynomial
+                            ) -> tuple[list[np.ndarray], float]:
+    """All global minimizers (within ENERGY_MATCH_TOL of the minimum) by full
+    enumeration of the polynomial's ``num_variables`` variables.
+
+    The energies come ``ENERGY_BLOCK`` high-half assignments at a time, as in
+    ``all_assignment_energies``, but into one reused block buffer, so no 2^n
+    vector is held.  Each block keeps the assignments that match its own
+    minimum; the kept ones are then matched against the global minimum, and
+    counted against ``EXHAUSTIVE_MAX_MINIMIZERS`` before any of them is
+    gathered.  That loses no minimizer: no block minimum is below the global
+    one, and a rounded subtraction is monotone, so an energy that matches the
+    global minimum matches its block's.
+    """
+    n = poly.num_variables
+    check_exhaustive_size(n)
+    on, weights = _energy_tables(poly, n)
+    buffer = np.empty((min(ENERGY_BLOCK, on.shape[0]), weights.shape[0]))
+    kept = []  # each block's (indices, energies) that match the block's minimum
+    for first in range(0, on.shape[0], ENERGY_BLOCK):
+        block = on[first:first + ENERGY_BLOCK]
+        energies = np.matmul(block, weights.T, out=buffer[:block.shape[0]]).reshape(-1)
+        idx = np.flatnonzero(energies_match(energies, energies.min()))
+        kept.append((first * weights.shape[0] + idx, energies[idx]))
+    best = float(min(energies.min() for _, energies in kept))
+    matched = [energies_match(energies, best) for _, energies in kept]
+    count = sum(map(np.count_nonzero, matched))
+    if count > EXHAUSTIVE_MAX_MINIMIZERS:
+        raise InstanceTooLargeError(
+            f"{count} degenerate minimizers; refusing to materialize them"
+        )
+    idx = np.concatenate([kept_idx[m] for (kept_idx, _), m in zip(kept, matched)])
+    return list(bit_rows(idx, n)), best

@@ -20,14 +20,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from mdpspin.anneal import (EXHAUSTIVE_MAX_MINIMIZERS, AnnealSchedule, TtsEstimate,
-                            check_exhaustive_size, default_beta_range, simulated_anneal,
+from mdpspin.anneal import (AnnealSchedule, TtsEstimate, default_beta_range, simulated_anneal,
                             success_probability, tts)
 from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp
-from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, TermTable, _half_on,
-                                   all_assignment_energies, bit_rows, energies_match,
-                                   variable_count)
+from mdpspin.pseudoboolean import (EXHAUSTIVE_MAX_MINIMIZERS, PseudoBooleanPolynomial, TermTable,
+                                   _half_on, all_assignment_energies, bit_rows,
+                                   check_exhaustive_size, energies_match, variable_count)
 from mdpspin.quadratize import (REDUCTION_PENALTY, AncillaRegistry, QuboProblem,
                                 rosenberg_penalty)
 

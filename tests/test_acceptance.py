@@ -10,14 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from mdpspin.anneal import exhaustive_ground_state, tts
+from mdpspin.anneal import tts
 from mdpspin.compiler import (CompilerConfig, compile_hamiltonian,
                               minimal_truncation_order, truncated_q_table)
 from mdpspin.dp import (best_policy_exhaustive, policy_evaluation_exact, q_learning,
                         QLearningConfig, value_iteration)
 from mdpspin.experiments import ExperimentConfig, run_tts_sweep
 from mdpspin.mdp import PolicyAssignment, build_hallway, policy_rows, terminal_states
-from mdpspin.pseudoboolean import PseudoBooleanPolynomial, all_assignment_energies
+from mdpspin.pseudoboolean import (PseudoBooleanPolynomial, all_assignment_energies,
+                                   exhaustive_ground_state)
 from mdpspin.quadratize import quadratize, rosenberg_penalty
 from oracles import bellman_residual, minimized_over_ancillas
 

@@ -9,12 +9,11 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from mdpspin.anneal import (AnnealSchedule, SaRead, _level_plan, default_beta_range,
-                            exhaustive_ground_state, simulated_anneal, success_probability,
-                            tts)
+                            simulated_anneal, success_probability, tts)
 from mdpspin.compiler import CompilerConfig, compile_hamiltonian
 from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, policy_rows
-from mdpspin.pseudoboolean import PseudoBooleanPolynomial, TermTable
+from mdpspin.pseudoboolean import PseudoBooleanPolynomial, TermTable, exhaustive_ground_state
 from mdpspin.quadratize import quadratize
 from oracles import tts_std_error, whole_vector_ground_state
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mdpspin import pseudoboolean
-from mdpspin.anneal import SaRead, exhaustive_ground_state, success_probability
+from mdpspin.anneal import SaRead, success_probability
 from mdpspin.compiler import CompilerConfig, compile_hamiltonian, minimal_truncation_order
 from mdpspin.dp import best_policy_exhaustive
 from mdpspin.errors import InstanceTooLargeError, NoTruncationError
@@ -16,7 +16,7 @@ from mdpspin.experiments import ExperimentConfig, run_solve
 from mdpspin.mdp import build_hallway
 from mdpspin.pseudoboolean import (ENUMERATION_BLOCK, TERM_TABLE_ROWS, PseudoBooleanPolynomial,
                                    TermTable, all_assignment_energies, bit_rows,
-                                   normalize_monomial)
+                                   exhaustive_ground_state, normalize_monomial)
 from mdpspin.quadratize import quadratize
 from oracles import one_block_assignment_energies, one_product_energies
 
