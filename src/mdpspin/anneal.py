@@ -72,7 +72,7 @@ def default_beta_range(poly: PseudoBooleanPolynomial) -> tuple[float, float]:
     magnitudes = np.abs(table.coeffs[table.sizes > 0])
     if not magnitudes.size:
         return 0.1, 1.0
-    d_max = float((table.incidence @ np.abs(table.coeffs)).max())
+    d_max = float(np.einsum("vt,t->v", table.incidence, np.abs(table.coeffs)).max())
     d_min = max(float(magnitudes.min()), 1e-3 * d_max)
     return math.log(2.0) / d_max, math.log(100.0) / d_min
 

@@ -186,16 +186,19 @@ class TermTable:
     def energies(self, assignments) -> np.ndarray:
         """Energy of each 0/1 row of ``assignments`` (a single row gives a scalar).
 
-        The rows go ``TERM_TABLE_ROWS`` at a time, so the product's float64
-        copy of the (rows, terms) on-term table stays one block's size.
+        The sum over terms is ``np.einsum``, numpy's own loop, not a BLAS
+        product: its bits do not depend on the BLAS kernel picked for the CPU.
+        The rows go ``TERM_TABLE_ROWS`` at a time, so the float64 copy of the
+        (rows, terms) on-term table stays one block's size.
         """
         x = np.asarray(assignments)
         if x.ndim == 1:
-            return (self.set_counts(x) == self.sizes) @ self.coeffs
+            return np.einsum("t,t->", self.set_counts(x) == self.sizes, self.coeffs)
         out = np.empty(x.shape[0])
         for first in range(0, x.shape[0], TERM_TABLE_ROWS):
             rows = slice(first, first + TERM_TABLE_ROWS)
-            np.matmul(self.set_counts(x[rows]) == self.sizes, self.coeffs, out=out[rows])
+            np.einsum("rt,t->r", self.set_counts(x[rows]) == self.sizes, self.coeffs,
+                      out=out[rows])
         return out
 
 

@@ -134,10 +134,10 @@ def whole_vector_ground_state(poly: PseudoBooleanPolynomial
 
 
 def one_product_energies(table: TermTable, assignments) -> np.ndarray:
-    """``TermTable.energies`` of every row at once: one float64 product over
+    """``TermTable.energies`` of every row at once: one float64 einsum over
     the whole (rows, terms) on-term table, where the library takes a fixed
     block of rows at a time."""
-    return (table.set_counts(assignments) == table.sizes) @ table.coeffs
+    return np.einsum("rt,t->r", table.set_counts(assignments) == table.sizes, table.coeffs)
 
 
 def unflatten_index(flat_id: int, num_actions: int) -> tuple[int, int]:
