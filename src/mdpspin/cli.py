@@ -16,6 +16,7 @@ import math
 import sys
 import typing
 
+from .anneal import AnnealSchedule
 from .compiler import CompilerConfig, compile_hamiltonian
 from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
 from .errors import InstanceTooLargeError
@@ -124,8 +125,10 @@ def _cmd_anneal(args) -> int:
         missing = "--beta-start" if args.beta_start is None else "--beta-end"
         raise ValueError(f"{missing} is missing: give both beta flags or neither")
     config = _experiment_config(args)
-    inst, _, ground = _prepare_exhaustive(_load_instance(args), config)
     betas = None if args.beta_start is None else (args.beta_start, args.beta_end)
+    if betas:
+        AnnealSchedule(1, *betas)  # refuse a bad pair before the ground state is taken
+    inst, _, ground = _prepare_exhaustive(_load_instance(args), config)
     schedule, reads, _, p_s, p_err = _anneal(inst, ground, config, betas)
     lines = ["read,energy,feasible,consistent,policy_bits"]
     for i, read in enumerate(reads):

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from mdpspin import compiler, experiments
+from mdpspin import cli, compiler, experiments
 from mdpspin.anneal import DESIRED_PROBABILITY, AnnealSchedule, simulated_anneal
 from mdpspin.cli import main, parse_config_file
 from mdpspin.compiler import CompilerConfig, minimal_truncation_order
@@ -388,12 +388,19 @@ class TestCli:
         assert code == 2
         assert f"{missing} is missing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("start, end", [("0.2", "inf"), ("nan", "4"), ("inf", "inf")])
-    def test_anneal_rejects_a_non_finite_beta(self, capsys, start, end):
+    @pytest.mark.parametrize("start, end, message", [
+        ("0.2", "inf", "betas must be finite"), ("nan", "4", "betas must be finite"),
+        ("inf", "inf", "betas must be finite"), ("2", "1", "need beta_end >= beta_start > 0"),
+    ], ids=["0.2-inf", "nan-4", "inf-inf", "2-1"])
+    def test_anneal_rejects_a_non_finite_beta(self, capsys, monkeypatch, start, end, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("took the ground state before refusing the betas")
+
+        monkeypatch.setattr(cli, "_prepare_exhaustive", fail)
         code = main(["anneal", "--hallway", "4", "--gamma", "0.9", "--truncation", "2",
                      "--sweeps", "3", "--reads", "5", "--beta-start", start, "--beta-end", end])
         assert code == 2
-        assert "betas must be finite" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_oracle_output(self, capsys):
         code = main(["oracle", "--hallway", "6", "--gamma", "0.99", "--exhaustive"])
