@@ -391,6 +391,14 @@ class TestSuccessProbability:
 
 
 class TestTts:
+    @pytest.mark.parametrize("args, message", [
+        ((1.5, 1.0), r"^success probability must be in \[0, 1\]$"),
+        ((0.5, 1.0, 1.0), r"^desired probability must be in \(0, 1\)$"),
+    ], ids=["success-probability", "desired-probability"])
+    def test_probability_out_of_range_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            tts(*args)
+
     def test_fixed_point_at_desired_probability(self):
         est = tts(0.99, 1.0, 0.99)
         assert est.value == 1.0
@@ -476,6 +484,11 @@ def test_default_beta_range_ordering():
     poly = compile_hamiltonian(build_hallway(6, 0.6), CompilerConfig(2, 3.0)).polynomial
     b0, b1 = default_beta_range(poly)
     assert 0 < b0 < b1
+
+
+def test_default_beta_range_of_a_constant_polynomial():
+    # no flip changes the energy, so there is no move size to scale by
+    assert default_beta_range(PseudoBooleanPolynomial(2, {(): 3.0})) == (0.1, 1.0)
 
 
 @given(st.sampled_from([0.0, 1.0]), st.floats(allow_nan=False, allow_infinity=False),

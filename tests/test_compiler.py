@@ -102,6 +102,10 @@ class TestCompile:
         with pytest.raises(ValueError, match="penalty strength must be finite and positive"):
             CompilerConfig(2, strength)
 
+    def test_truncation_order_must_be_positive(self):
+        with pytest.raises(ValueError, match="^truncation order must be >= 1$"):
+            CompilerConfig(0)
+
 
 @st.composite
 def small_sparse_mdps(draw):
@@ -180,6 +184,10 @@ class TestTruncatedQ:
         with pytest.raises(ValueError, match=rf"{policy.num_states} states and "
                                              rf"{policy.num_actions} actions .* 6 states and 2"):
             truncated_q_table(build_hallway(6, 0.9), policy, 2)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="^order must be >= 0$"):
+            truncated_q_table(build_hallway(6, 0.9), PolicyAssignment.from_actions([0] * 6, 2), -1)
 
     def test_matches_exact_policy_evaluation_in_the_limit(self):
         mdp = build_hallway(6, 0.99)

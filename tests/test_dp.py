@@ -43,6 +43,11 @@ def test_value_iteration_matches_exhaustive_search():
         np.testing.assert_array_equal(best.interior_actions(), greedy.interior_actions())
 
 
+def test_value_iteration_rejects_a_zero_tolerance():
+    with pytest.raises(ValueError, match="^tolerance must be positive$"):
+        value_iteration(build_hallway(6, 0.99), tol=0)
+
+
 def test_value_iteration_non_convergence_raises():
     with pytest.raises(RuntimeError):
         value_iteration(build_hallway(6, 0.99), tol=1e-12, max_iters=3)
@@ -215,6 +220,8 @@ class TestQLearning:
             QLearningConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             QLearningConfig(epsilon=1.5)
+        with pytest.raises(ValueError, match="^episode count must be non-negative$"):
+            QLearningConfig(num_episodes=-1)
 
     def test_all_terminal_rejected(self):
         mdp = build_hallway(4, 0.9)

@@ -273,6 +273,12 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith(f"error: {line.split()[0]} must ")
 
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("# a comment\nnum_reads 20\n")
+        with pytest.raises(ParseError, match="bad.cfg:2: expected 'key = value'$"):
+            parse_config_file(str(path))
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("mystery = 3\n")

@@ -115,6 +115,16 @@ def test_validate_reports_an_empty_dimension(shape, missing):
         f"transition tensor has shape {shape}: no {name}" for name in missing]
 
 
+@pytest.mark.parametrize("transition, reward, report", [
+    (np.ones((2, 2)), np.zeros((2, 2)),
+     ["transition tensor has shape (2, 2), expected (S, A, S)"]),
+    (np.full((2, 1, 2), 0.5), np.zeros((2, 1)),
+     ["reward shape (2, 1) does not match transition shape (2, 1, 2)"]),
+], ids=["rank-2-transition", "reward-shape"])
+def test_validate_reports_a_malformed_shape(transition, reward, report):
+    assert violations(transition, reward, 0.9) == report
+
+
 @given(st.integers(0, 9), st.integers(0, 4), st.integers(1, 5))
 def test_flat_index_round_trip(state, action, num_actions):
     action = action % num_actions
@@ -154,6 +164,10 @@ class TestPolicyAssignment:
         for bits in ([2, 0], [256, 1], [0.5, 1.0]):
             with pytest.raises(ValueError, match="^policy bits must be 0 or 1$"):
                 PolicyAssignment(np.array(bits), 1, 2)
+
+    def test_rejects_the_wrong_bit_count(self):
+        with pytest.raises(ValueError, match=r"^expected 8 bits, got \(3,\)$"):
+            PolicyAssignment(np.zeros(3, np.int8), 4, 2)
 
     def test_enumeration_counts(self):
         rows = policy_rows(6, 2, np.arange(64))
@@ -203,6 +217,19 @@ class TestSerialization:
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError, match="line"):
             load_mdp("{not json")
+
+    @pytest.mark.parametrize("fields, message", [
+        (None, "^document root must be an object$"),
+        ({"transition": "abc"}, "^tensor field not numeric: "),
+        ({"reward": [[0]]}, r"^field 'reward': shape \(1, 1\) != \(4, 2, 4\)$"),
+    ], ids=["array-root", "non-numeric-tensor", "reward-shape"])
+    def test_malformed_document_is_parse_error(self, fields, message):
+        import json
+
+        doc = json.loads(save_mdp(build_hallway(4, 0.9)))
+        text = "[1, 2]" if fields is None else json.dumps({**doc, **fields})
+        with pytest.raises(ParseError, match=message):
+            load_mdp(text)
 
     def test_wrong_shape_is_parse_error(self):
         import json

@@ -136,6 +136,10 @@ class TestTextFormat:
         again = PseudoBooleanPolynomial.from_text(poly.to_text())
         assert again.terms == poly.terms
 
+    def test_comment_and_blank_lines_are_skipped(self):
+        poly = PseudoBooleanPolynomial.from_text("# header\n\n1.5 0\n")
+        assert poly.terms == {(0,): 1.5}
+
     def test_constant_line_has_no_ids(self):
         poly = PseudoBooleanPolynomial().add_term([], 4.0)
         assert poly.to_text() == "4.0\n"
@@ -152,6 +156,13 @@ class TestTextFormat:
     def test_non_finite_coefficient_reports_line(self, coeff):
         with pytest.raises(ValueError, match=f"line 2: coefficient must be finite, got {coeff}$"):
             PseudoBooleanPolynomial.from_text(f"2.0 0\n{coeff} 1 2 3\n")
+
+
+def test_equality_compares_terms_only():
+    poly = PseudoBooleanPolynomial(1, {(0,): 1.0})
+    assert poly == PseudoBooleanPolynomial(3, {(0,): 1.0})
+    assert poly != PseudoBooleanPolynomial(1, {(0,): 2.0})
+    assert poly != {(0,): 1.0}
 
 
 def test_negative_variable_count_rejected():

@@ -274,6 +274,11 @@ class TestLiftProject:
     def test_project_truncates(self):
         np.testing.assert_array_equal(project([1, 0, 1, 0, 0], self.REG), [1, 0, 1])
 
+    @pytest.mark.parametrize("read", [project, consistency_violations])
+    def test_short_assignment_rejected(self, read):
+        with pytest.raises(ValueError, match="^assignment does not cover all ancillas$"):
+            read([1, 0, 1, 0], self.REG)
+
 
 def test_lifted_assignment_has_zero_gadget_penalty():
     poly = PseudoBooleanPolynomial(4)
