@@ -8,10 +8,9 @@ validate recovered policies against exact dynamic programming.
 
 from .anneal import (AnnealSchedule, SaRead, TtsEstimate, default_beta_range, simulated_anneal,
                      success_probability, tts)
-from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
-                       minimal_truncation_order, truncated_q_table)
-from .dp import (QLearningConfig, best_policy_exhaustive, policy_evaluation_exact,
-                 q_learning, value_iteration)
+from .compiler import CompiledHamiltonian, CompilerConfig, compile_hamiltonian
+from .dp import (QLearningConfig, best_policy_exhaustive, minimal_truncation_order,
+                 policy_evaluation_exact, q_learning, truncated_q_table, value_iteration)
 from .errors import InstanceTooLargeError, NoTruncationError
 from .mdp import (Mdp, ParseError, PolicyAssignment, ValidationError, build_hallway,
                   flat_index, load_mdp, save_mdp, terminal_states)

@@ -1,20 +1,23 @@
-"""Exact and learning-based classical baselines.
+"""The Bellman side: exact, truncated, optimal and learned action values.
 
-Value iteration and exact policy evaluation are the ground-truth solvers the
-compiled cost functions are checked against; exhaustive policy search scores
-every deterministic policy by its exact action-value sum, a batch of policies
-per stacked solve; tabular Q-learning provides the sampled-experience baseline.
+Value iteration and exact policy evaluation are the ground truth the
+compiled cost functions are checked against, and truncated evaluation is
+the walk-sum oracle.  Both searches of the |A|^|S| policy grid (``policy_rows``
+order, ``ENUMERATION_LIMIT``) live here: exhaustive policy search by exact
+action-value sums, a batch per stacked solve, and the least-K search by one
+batched truncated rollout.  Tabular Q-learning is the sampled baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InstanceTooLargeError
-from .mdp import Mdp, PolicyAssignment, policy_rows
+from .errors import InstanceTooLargeError, NoTruncationError
+from .mdp import Mdp, PolicyAssignment
 from .pseudoboolean import energies_match
 
 ENUMERATION_LIMIT = 1 << 16  # deterministic policies of one policy-grid search
@@ -63,6 +66,69 @@ def policy_evaluation_exact(mdp: Mdp, policy: PolicyAssignment) -> np.ndarray:
     return _exact_q(mdp, policy.actions()[None])[0]
 
 
+def _rollout(mdp: Mdp, actions: np.ndarray) -> Iterator[np.ndarray]:
+    """Truncated action values of each policy row, at orders 0, 1, 2, ...
+
+    ``actions`` holds one policy per row (the action of each state); the
+    k-th array yielded is C-contiguous of shape (|S||A|, rows), column i
+    holding row i's
+
+        q_0 = r,   q_k(s, a) = r(s, a) + gamma * sum_s' P[s,a,s'] q_{k-1}(s', pi(s')),
+
+    at flat pair s|A| + a: the expected discounted return of a (k+1)-step
+    rollout that starts with action a in state s and follows the row's
+    policy afterwards.  Pair-major, each order gathers the chosen values
+    through one flat index, contracts them with the (|S||A|, |S|)
+    transition matrix by ``np.einsum`` and updates the fresh product in
+    place; a yielded array is never written again.
+    """
+    rows = actions.shape[0]
+    r = mdp.expected_reward().reshape(-1, 1)
+    walk = mdp.transition.reshape(mdp.num_pairs, mdp.num_states)
+    pick = (np.arange(mdp.num_states)[:, None] * mdp.num_actions + actions.T) * rows \
+        + np.arange(rows)
+    q = np.repeat(r, rows, axis=1)
+    while True:
+        yield q
+        q = np.einsum("pt,tm->pm", walk, q.reshape(-1)[pick])
+        q *= mdp.discount
+        q += r
+
+
+def truncated_q_table(mdp: Mdp, policy: PolicyAssignment, order: int) -> np.ndarray:
+    """Order-K action values under a fixed policy, by K Bellman substitutions.
+
+    Base case is the immediate expected reward; each substitution extends the
+    rollout by one step, so the result is the expected discounted return of a
+    (K+1)-step rollout, as an (|S|, |A|) table: the rollout's single column
+    reshaped.  Serves as the walk-sum oracle: the compiled objective at a
+    policy's bit vector equals minus the sum of this table (plus the
+    constant offset).  Raises ValueError when the policy's state or action
+    count is not the model's.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if (policy.num_states, policy.num_actions) != (mdp.num_states, mdp.num_actions):
+        raise ValueError(f"a policy over {policy.num_states} states and {policy.num_actions} "
+                         f"actions does not fit a model of {mdp.num_states} states and "
+                         f"{mdp.num_actions} actions")
+    rollout = _rollout(mdp, policy.actions()[None, :])
+    return next(islice(rollout, order, None)).reshape(mdp.num_states, mdp.num_actions)
+
+
+def policy_rows(num_states: int, num_actions: int, indices: np.ndarray) -> np.ndarray:
+    """Actions ``rows[i, s]`` of the policies at lexicographic ``indices``.
+
+    Row i holds the base-|A| digits of ``indices[i]``, state 0 most
+    significant, decoded in int32 (|A|^|S| below 2^31), so unlike
+    ``np.indices`` it takes any number of states.  The rows are a transposed
+    state-major array, so ``rows.T`` is the C-contiguous (|S|, rows) array
+    from which the pair-major ``_rollout`` builds its flat gather index.
+    """
+    place = num_actions ** np.arange(num_states - 1, -1, -1, dtype=np.int32)
+    return (np.asarray(indices, dtype=np.int32) // place[:, None] % num_actions).T
+
+
 def policy_count(mdp: Mdp) -> int:
     """|A|^|S|, the size of the policy grid; InstanceTooLargeError past ENUMERATION_LIMIT."""
     count = mdp.num_actions ** mdp.num_states
@@ -93,6 +159,46 @@ def best_policy_exhaustive(mdp: Mdp
     best_pol, *ties = [PolicyAssignment.from_actions(row, na)
                        for row in policy_rows(n, na, np.r_[best, tied[tied != best]])]
     return best_pol, float(totals[best]), ties
+
+
+def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int:
+    """Least K whose compiled ground state recovers the DP-optimal policy.
+
+    Scores all |A|^|S| deterministic policies (lexicographic, state 0 most
+    significant) by one batched rollout, one Bellman substitution per K from
+    1 to k_max; a policy's energy is minus the sum of its K-step truncated Q
+    values, added over the pair-major rollout's pairs in order.  That is the
+    compiled energy of the policy's bits: walk sum plus offset equals it
+    (the oracle identity) and the one-hot penalty is zero on every feasible
+    assignment, so the ranking is the compiled cost function's among
+    feasible assignments at any penalty strength.  Nothing is compiled, so
+    ``compiler.FRONTIER_LIMIT`` does not apply.
+
+    A K qualifies when no other policy's energy matches the best's
+    (``energies_match``), and the best's action at every state matches
+    value iteration's greedy policy.  Just past a discount at which the
+    optimal policy changes, the least qualifying K rises sharply, because the
+    ground state must resolve a vanishing Q-gap between the two policies.
+    Raises NoTruncationError when no K <= k_max qualifies, ValueError when
+    k_max is below 1, and InstanceTooLargeError (``dp.policy_count``) past
+    ENUMERATION_LIMIT policies.
+    """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    actions = policy_rows(mdp.num_states, mdp.num_actions, np.arange(policy_count(mdp)))
+    target = value_iteration(mdp)[1].actions()
+    rollout = _rollout(mdp, actions)
+    next(rollout)                       # order 0 does not depend on the policy
+    for k in range(1, k_max + 1):
+        energies = -next(rollout).sum(axis=0)
+        best = energies.argmin()
+        # a single policy has no runner-up and is the unique ground state
+        if np.count_nonzero(energies_match(energies, energies[best])) > 1:
+            continue
+        if np.array_equal(actions[best], target):
+            return k
+    raise NoTruncationError(f"no truncation order <= {k_max} recovers the optimal policy "
+                            f"for |S|={mdp.num_states}, gamma={mdp.discount}")
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from typing import Callable
 
 from .anneal import (DESIRED_PROBABILITY, AnnealSchedule, SaRead, default_beta_range,
                      simulated_anneal, success_probability, tts)
-from .compiler import (CompiledHamiltonian, CompilerConfig, compile_hamiltonian,
-                       minimal_truncation_order)
-from .dp import QLearningConfig, best_policy_exhaustive, q_learning, value_iteration
+from .compiler import CompiledHamiltonian, CompilerConfig, compile_hamiltonian
+from .dp import (QLearningConfig, best_policy_exhaustive, minimal_truncation_order,
+                 q_learning, value_iteration)
 from .errors import InstanceTooLargeError, NoTruncationError
 from .mdp import HALLWAY_SLIP, Mdp, PolicyAssignment, build_hallway, terminal_states
 from .pseudoboolean import check_exhaustive_size, energies_match, exhaustive_ground_state

@@ -86,20 +86,6 @@ def flat_index(state: int, action: int, num_actions: int) -> int:
     return state * num_actions + action
 
 
-def policy_rows(num_states: int, num_actions: int, indices: np.ndarray) -> np.ndarray:
-    """Actions ``rows[i, s]`` of the policies at lexicographic ``indices``.
-
-    Row i holds the base-|A| digits of ``indices[i]``, state 0 most
-    significant, decoded in int32 (|A|^|S| below 2^31), so unlike
-    ``np.indices`` it takes any number of states.  The rows are a transposed
-    state-major array, so ``rows.T`` is the C-contiguous (|S|, rows) array
-    from which the compiler's pair-major ``_rollout`` builds its flat gather
-    index.
-    """
-    place = num_actions ** np.arange(num_states - 1, -1, -1, dtype=np.int32)
-    return (np.asarray(indices, dtype=np.int32) // place[:, None] % num_actions).T
-
-
 @dataclass
 class PolicyAssignment:
     """Binary vector over state-action pairs, indexed by flat id.

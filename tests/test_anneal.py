@@ -11,8 +11,9 @@ import hypothesis.strategies as st
 from mdpspin.anneal import (AnnealSchedule, SaRead, _level_plan, default_beta_range,
                             simulated_anneal, success_probability, tts)
 from mdpspin.compiler import CompilerConfig, compile_hamiltonian
+from mdpspin.dp import policy_rows
 from mdpspin.errors import InstanceTooLargeError
-from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, policy_rows
+from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway
 from mdpspin.pseudoboolean import PseudoBooleanPolynomial, TermTable, exhaustive_ground_state
 from mdpspin.quadratize import quadratize
 from oracles import tts_std_error, whole_vector_ground_state
@@ -463,7 +464,7 @@ def test_solver_attains_ground_across_hallway_family():
     """Best SA read matches the exhaustive ground energy on every quadratized
     small instance at its minimal truncation order, including the 58-variable
     near-degenerate one."""
-    from mdpspin.compiler import minimal_truncation_order
+    from mdpspin.dp import minimal_truncation_order
     from mdpspin.pseudoboolean import all_assignment_energies
 
     for size, gamma in ((4, 0.9), (5, 0.9), (6, 0.6), (6, 0.8), (6, 0.99), (6, 0.7)):

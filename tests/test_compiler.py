@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mdpspin import compiler
-from mdpspin.compiler import (CompilerConfig, compile_hamiltonian, minimal_truncation_order,
-                              truncated_q_table)
-from mdpspin.dp import policy_evaluation_exact, value_iteration
+from mdpspin import compiler, dp
+from mdpspin.compiler import CompilerConfig, compile_hamiltonian
+from mdpspin.dp import (minimal_truncation_order, policy_evaluation_exact, policy_rows,
+                        truncated_q_table, value_iteration)
 from mdpspin.errors import InstanceTooLargeError, NoTruncationError
-from mdpspin.mdp import Mdp, PolicyAssignment, ValidationError, build_hallway, policy_rows
+from mdpspin.mdp import Mdp, PolicyAssignment, ValidationError, build_hallway
 from mdpspin.pseudoboolean import DROP_TOL, ENERGY_MATCH_TOL, all_assignment_energies
 from oracles import coupling_coefficient, dict_walk_sum, state_major_rollout
 
@@ -429,7 +429,7 @@ def test_pair_major_rollout_is_the_state_major_one(build, k_max):
     for mdp in build():
         actions = policy_rows(mdp.num_states, mdp.num_actions,
                               np.arange(mdp.num_actions ** mdp.num_states))
-        pair_major = compiler._rollout(mdp, actions)
+        pair_major = dp._rollout(mdp, actions)
         state_major = state_major_rollout(mdp, actions)
         for k in range(k_max + 1):
             q, expected = next(pair_major), next(state_major)

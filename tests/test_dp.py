@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mdpspin import compiler, dp
-from mdpspin.compiler import minimal_truncation_order
+from mdpspin import dp
 from mdpspin.dp import (ENUMERATION_LIMIT, QLearningConfig, best_policy_exhaustive,
-                        policy_evaluation_exact, q_learning, value_iteration)
+                        minimal_truncation_order, policy_evaluation_exact, policy_rows,
+                        q_learning, value_iteration)
 from mdpspin.errors import InstanceTooLargeError
-from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, policy_rows, terminal_states
+from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, terminal_states
 from mdpspin.pseudoboolean import ENERGY_MATCH_TOL
 from oracles import bellman_residual
 
@@ -240,9 +240,8 @@ def test_both_policy_grid_searches_refuse_before_building_an_array(monkeypatch, 
     def fail(*args, **kwargs):
         raise AssertionError("built an array before the policy limit")
 
-    for module, name in [(dp, "policy_rows"), (compiler, "policy_rows"),
-                         (compiler, "value_iteration")]:
-        monkeypatch.setattr(module, name, fail)
+    for name in ("policy_rows", "value_iteration"):
+        monkeypatch.setattr(dp, name, fail)
     with pytest.raises(InstanceTooLargeError, match="131072 deterministic policies exceed "
                                                     "the enumeration limit of 65536"):
         search(build_hallway(17, 0.9))

@@ -9,8 +9,8 @@ import pytest
 from mdpspin import cli, compiler, experiments
 from mdpspin.anneal import DESIRED_PROBABILITY, AnnealSchedule, simulated_anneal
 from mdpspin.cli import main, parse_config_file
-from mdpspin.compiler import CompilerConfig, minimal_truncation_order
-from mdpspin.dp import QLearningConfig
+from mdpspin.compiler import CompilerConfig
+from mdpspin.dp import QLearningConfig, minimal_truncation_order
 from mdpspin.dp import value_iteration as dp_value_iteration
 from mdpspin.errors import NoTruncationError
 from mdpspin.experiments import (ExperimentConfig, prepare, run_k_heatmap,

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from mdpspin.dp import policy_rows
 from mdpspin.mdp import (Mdp, ParseError, PolicyAssignment, ValidationError,
-                         build_hallway, flat_index, load_mdp, policy_rows, save_mdp)
+                         build_hallway, flat_index, load_mdp, save_mdp)
 from oracles import unflatten_index
 
 

@@ -9,8 +9,8 @@ import hypothesis.strategies as st
 
 from mdpspin import pseudoboolean
 from mdpspin.anneal import SaRead, success_probability
-from mdpspin.compiler import CompilerConfig, compile_hamiltonian, minimal_truncation_order
-from mdpspin.dp import best_policy_exhaustive
+from mdpspin.compiler import CompilerConfig, compile_hamiltonian
+from mdpspin.dp import best_policy_exhaustive, minimal_truncation_order
 from mdpspin.errors import InstanceTooLargeError, NoTruncationError
 from mdpspin.experiments import ExperimentConfig, run_solve
 from mdpspin.mdp import build_hallway
