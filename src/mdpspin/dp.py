@@ -61,9 +61,20 @@ def _exact_q(mdp: Mdp, actions: np.ndarray) -> np.ndarray:
     return q.reshape(rows, mdp.num_states, mdp.num_actions)
 
 
+def _fitted_actions(mdp: Mdp, policy: PolicyAssignment) -> np.ndarray:
+    """The policy's action per state; ValueError when its state or action count
+    is not the model's, which a flat gather or a broadcast would not catch."""
+    if (policy.num_states, policy.num_actions) != (mdp.num_states, mdp.num_actions):
+        raise ValueError(f"a policy over {policy.num_states} states and {policy.num_actions} "
+                         f"actions does not fit a model of {mdp.num_states} states and "
+                         f"{mdp.num_actions} actions")
+    return policy.actions()
+
+
 def policy_evaluation_exact(mdp: Mdp, policy: PolicyAssignment) -> np.ndarray:
-    """Exact Q^pi by solving the |S x A|-dimensional linear fixed-point system."""
-    return _exact_q(mdp, policy.actions()[None])[0]
+    """Exact Q^pi by solving the |S x A|-dimensional linear fixed-point system.
+    Raises ValueError when the policy's state or action count is not the model's."""
+    return _exact_q(mdp, _fitted_actions(mdp, policy)[None])[0]
 
 
 def _rollout(mdp: Mdp, actions: np.ndarray) -> Iterator[np.ndarray]:
@@ -108,11 +119,7 @@ def truncated_q_table(mdp: Mdp, policy: PolicyAssignment, order: int) -> np.ndar
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if (policy.num_states, policy.num_actions) != (mdp.num_states, mdp.num_actions):
-        raise ValueError(f"a policy over {policy.num_states} states and {policy.num_actions} "
-                         f"actions does not fit a model of {mdp.num_states} states and "
-                         f"{mdp.num_actions} actions")
-    rollout = _rollout(mdp, policy.actions()[None, :])
+    rollout = _rollout(mdp, _fitted_actions(mdp, policy)[None, :])
     return next(islice(rollout, order, None)).reshape(mdp.num_states, mdp.num_actions)
 
 

@@ -1,5 +1,8 @@
 """Dynamic-programming oracle tests."""
 
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ import hypothesis.strategies as st
 from mdpspin import dp
 from mdpspin.dp import (ENUMERATION_LIMIT, QLearningConfig, best_policy_exhaustive,
                         minimal_truncation_order, policy_evaluation_exact, policy_rows,
-                        q_learning, value_iteration)
+                        q_learning, truncated_q_table, value_iteration)
 from mdpspin.errors import InstanceTooLargeError
 from mdpspin.mdp import Mdp, PolicyAssignment, build_hallway, terminal_states
 from mdpspin.pseudoboolean import ENERGY_MATCH_TOL
@@ -245,3 +248,15 @@ def test_both_policy_grid_searches_refuse_before_building_an_array(monkeypatch, 
     with pytest.raises(InstanceTooLargeError, match="131072 deterministic policies exceed "
                                                     "the enumeration limit of 65536"):
         search(build_hallway(17, 0.9))
+
+
+@pytest.mark.parametrize("evaluate", [policy_evaluation_exact, partial(truncated_q_table, order=2)],
+                         ids=["exact", "truncated"])
+@pytest.mark.parametrize("actions, num_actions", [([1], 2), ([0, 1, 2], 3), ([0] * 5, 2)],
+                         ids=["one-state", "three-state-three-action", "five-state"])
+def test_both_evaluators_refuse_a_policy_that_does_not_fit_the_model(evaluate, actions,
+                                                                     num_actions):
+    message = (f"a policy over {len(actions)} states and {num_actions} actions does not fit "
+               f"a model of 4 states and 2 actions")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate(build_hallway(4, 0.9), PolicyAssignment.from_actions(actions, num_actions))
