@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InstanceTooLargeError
 from .mdp import Mdp, flat_index
-from .pseudoboolean import DROP_TOL, PseudoBooleanPolynomial
+from .pseudoboolean import DROP_TOL, PseudoBooleanPolynomial, check_penalty
 
 # merged states of one walk frontier.  A compile's peak RSS grows by about
 # 220 B per state of its largest merged frontier (hallway(12, 0.9): 6.4 MiB
@@ -51,9 +51,7 @@ class CompilerConfig:
     def __post_init__(self):
         if self.truncation_order < 1:
             raise ValueError("truncation order must be >= 1")
-        if not 0 < self.penalty_strength < np.inf:
-            raise ValueError(f"penalty strength must be finite and positive, "
-                             f"got {self.penalty_strength!r}")
+        check_penalty("penalty strength", self.penalty_strength)
 
 
 @dataclass(frozen=True)

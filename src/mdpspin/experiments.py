@@ -24,7 +24,8 @@ from .dp import (QLearningConfig, best_policy_exhaustive, minimal_truncation_ord
                  q_learning, value_iteration)
 from .errors import InstanceTooLargeError, NoTruncationError
 from .mdp import HALLWAY_SLIP, Mdp, PolicyAssignment, build_hallway, terminal_states
-from .pseudoboolean import check_exhaustive_size, energies_match, exhaustive_ground_state
+from .pseudoboolean import (check_exhaustive_size, check_penalty, energies_match,
+                           exhaustive_ground_state)
 from .quadratize import (REDUCTION_PENALTY, QuboProblem, consistency_violations, project,
                          quadratize)
 from .resources import ResourceReport, count_resources
@@ -64,6 +65,8 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat an entry, got {values}")
+        check_penalty("penalty strength", self.penalty_strength)
+        check_penalty("reduction penalty", self.reduction_penalty)
 
     def as_dict(self, experiment: str) -> dict:
         """The fields, after the name of the ``experiment`` that ran them."""

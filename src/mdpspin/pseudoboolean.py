@@ -42,6 +42,12 @@ def energies_match(a, b):
     return np.abs(np.subtract(a, b)) <= ENERGY_MATCH_TOL
 
 
+def check_penalty(name: str, strength: float) -> None:
+    """Refuse a penalty ``strength`` that is not finite and positive, by ``name``."""
+    if not 0 < strength < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {strength!r}")
+
+
 def normalize_monomial(variables: Iterable[int]) -> Monomial:
     """Sort and deduplicate variable ids (multilinear reduction)."""
     return tuple(sorted(set(int(v) for v in variables)))

@@ -44,7 +44,7 @@ from itertools import chain
 
 import numpy as np
 
-from .pseudoboolean import PseudoBooleanPolynomial, variable_count
+from .pseudoboolean import PseudoBooleanPolynomial, check_penalty, variable_count
 
 REDUCTION_PENALTY = 5.0  # the uniform gadget strength M_OR of every round
 
@@ -115,9 +115,7 @@ def quadratize(poly: PseudoBooleanPolynomial, reduction_penalty: float = REDUCTI
     past every earlier stamp, and turns each fallen one into the term (w, z)
     of ``low``, the degree <= 2 terms, which are the result's.
     """
-    if not 0 < reduction_penalty < np.inf:
-        raise ValueError(f"reduction penalty must be finite and positive, "
-                         f"got {reduction_penalty!r}")
+    check_penalty("reduction penalty", reduction_penalty)
     base = variable_count(poly, num_variables)
     # the gadget over x=0, y=1, z=2, less any coefficient within DROP_TOL
     gadget = list(rosenberg_penalty(0, 1, 2, reduction_penalty).terms.items())

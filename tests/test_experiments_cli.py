@@ -613,6 +613,31 @@ class TestCli:
         else:
             assert code == 3 and err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("field", ["penalty_strength", "reduction_penalty"])
+    @pytest.mark.parametrize("command", [
+        ["solve", "--num-states", "6", "--gamma", "0.9"],
+        ["oracle-compare", "--num-states", "6", "--gamma", "0.9"],
+        ["tts-sweep", "--sizes", "6", "--gammas", "0.9"],
+        ["resources", "--sizes", "16", "--gammas", "0.9"],
+        ["k-heatmap", "--sizes", "6", "--gammas", "0.9"],
+    ], ids=["solve", "oracle-compare", "tts-sweep", "resources", "k-heatmap"])
+    def test_runners_refuse_a_bad_penalty_before_the_k_search(self, tmp_path, monkeypatch,
+                                                              capsys, command, field):
+        def fail(*args, **kwargs):
+            raise AssertionError("spent on a penalty that the config refuses")
+
+        monkeypatch.setattr(experiments, "minimal_truncation_order", fail)
+        monkeypatch.setattr(experiments, "compile_hamiltonian", fail)
+        if command[0] == "k-heatmap":  # no penalty flag, but the config file may set one
+            path = tmp_path / "exp.cfg"
+            path.write_text(f"{field} = 0\n")
+            command = command + ["--config", str(path)]
+        else:
+            command = command + ["--" + field.replace("_", "-"), "0"]
+        assert main(command) == 2
+        name = field.replace("_", " ")
+        assert capsys.readouterr() == ("", f"error: {name} must be finite and positive, got 0.0\n")
+
     @pytest.mark.parametrize("command", ["solve", "oracle-compare", "k-heatmap",
                                          "tts-sweep", "resources"])
     def test_every_experiment_flag_reaches_the_config(self, tmp_path, capsys, command):
