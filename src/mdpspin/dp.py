@@ -187,7 +187,7 @@ def minimal_truncation_order(mdp: Mdp, *, k_max: int = 8) -> int:
     optimal policy changes, the least qualifying K rises sharply, because the
     ground state must resolve a vanishing Q-gap between the two policies.
     Raises NoTruncationError when no K <= k_max qualifies, ValueError when
-    k_max is below 1, and InstanceTooLargeError (``dp.policy_count``) past
+    k_max is below 1, and InstanceTooLargeError (``policy_count``) past
     ENUMERATION_LIMIT policies.
     """
     if k_max < 1:
